@@ -107,7 +107,7 @@ class Decomposition:
     ainv_one: np.ndarray  # A^{-1} 1
     ainv_eta: np.ndarray  # A^{-1} eta
     _solve_a: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    _t_norm: float | None = field(default=None, repr=False)
+    _a_spectrum: spectral.SpectralReport | None = field(default=None, repr=False)
 
     @property
     def B(self) -> np.ndarray:
@@ -119,13 +119,17 @@ class Decomposition:
         return self._solve_a(x)
 
     @property
+    def a_spectrum(self) -> spectral.SpectralReport:
+        """Extreme eigenvalues of A, from one eigensolve (cached)."""
+        if self._a_spectrum is None:
+            self._a_spectrum = spectral.spectral_norm(self.A)
+        return self._a_spectrum
+
+    @property
     def t_norm_est(self) -> float:
-        """Power-iteration estimate of ||T|| where T = I - A (cached)."""
-        if self._t_norm is None:
-            t = -np.asarray(self.A)
-            t[np.diag_indices(self.m)] += 1.0
-            self._t_norm = spectral.spectral_norm(t).norm_estimate
-        return self._t_norm
+        """||T|| for T = I - A: the larger of |1 - lambda| at A's spectrum ends."""
+        rep = self.a_spectrum
+        return max(abs(1.0 - rep.lambda_min), abs(1.0 - rep.lambda_max))
 
 
 @dataclass(frozen=True)

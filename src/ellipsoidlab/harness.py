@@ -24,7 +24,7 @@ import numpy as np
 
 from . import construction, graphmat, neumann, sampling, spectral
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 DEFAULT_GRID_D = (40, 60, 100, 150)
 DEFAULT_GRID_RATIOS = (
@@ -73,7 +73,7 @@ def record_payload(rec: TrialRecord) -> dict:
     return {name: getattr(rec, name) for name in FIT_FIELDS}
 
 
-def run_fit_trial(seed: int, d: int, m: int, tol: float = 1e-10) -> TrialRecord:
+def run_fit_trial(seed: int, d: int, m: int) -> TrialRecord:
     """sample -> decompose -> solve -> spectral checks, one record.
 
     Singular or ill-conditioned systems yield a degenerate record with a
@@ -104,7 +104,7 @@ def run_fit_trial(seed: int, d: int, m: int, tol: float = 1e-10) -> TrialRecord:
             cand = construction.solve_weights(dec, sample)
     except construction.SingularMatrixError:
         return degenerate("singular-gram", dec)
-    rep_r = spectral.spectral_norm(cand.R, tol=tol)
+    rep_r = spectral.spectral_norm(cand.R)
     feasible = spectral.psd_check(cand.Lambda)
     return TrialRecord(
         seed=seed, d=d, m=m, feasible=feasible,
@@ -153,7 +153,6 @@ class SweepReport:
     schema: str
     seed: int
     trials: int
-    tol: float
     d_list: tuple[int, ...]
     ratio_list: tuple[float, ...]
     cells: tuple[SweepCell, ...]
@@ -215,7 +214,6 @@ def run_sweep(
     ratio_list: Sequence[float] = DEFAULT_GRID_RATIOS,
     trials: int = 50,
     seed: int = 0,
-    tol: float = 1e-10,
     threads: int = 0,
 ) -> SweepReport:
     """Feasibility-rate grid over (d, m/d^2) cells.
@@ -243,14 +241,14 @@ def run_sweep(
                         "require d*d*ratio >= 1"
                     )
                 records = _run_trials(
-                    lambda t: run_fit_trial(sampling.trial_seed(seed, t), d, m, tol),
+                    lambda t: run_fit_trial(sampling.trial_seed(seed, t), d, m),
                     trials, threads,
                 )
                 cells.append(_summarize_cell(d, ratio, m, records))
     except KeyboardInterrupt:
         interrupted = True
     return SweepReport(
-        schema=SCHEMA_VERSION, seed=seed, trials=trials, tol=tol,
+        schema=SCHEMA_VERSION, seed=seed, trials=trials,
         d_list=tuple(d_list), ratio_list=tuple(ratio_list),
         cells=tuple(cells),
         monotonicity_warnings=_monotonicity_warnings(cells),
@@ -359,7 +357,7 @@ def lemma_suite(
         def one(t: int) -> dict:
             s = sampling.sample_vectors(sampling.trial_seed(seed, t), d, m)
             dec = construction.decompose(s)
-            rep_a = spectral.spectral_norm(dec.A)
+            rep_a = dec.a_spectrum
             out = {
                 "lam_min": rep_a.lambda_min,
                 # lift of the top eigenvalue above the largest diagonal entry
@@ -583,7 +581,7 @@ def _write_outputs(base: str, fmt: str | None, json_text: str, csv_text: str,
 def cmd_fit(args, stdout) -> int:
     if args.d < 1 or args.m < 1:
         raise UsageError(f"d and m must be >= 1, got d={args.d} m={args.m}")
-    rec = run_fit_trial(args.seed, args.d, args.m, args.tol)
+    rec = run_fit_trial(args.seed, args.d, args.m)
     payload = {"schema": SCHEMA_VERSION, "command": "fit",
                "record": record_payload(rec)}
     json_text = render_json(payload)
@@ -600,8 +598,7 @@ def cmd_fit(args, stdout) -> int:
 def cmd_sweep(args, stdout) -> int:
     d_list = args.d_list if args.d_list else list(DEFAULT_GRID_D)
     ratios = args.ratios if args.ratios is not None else list(DEFAULT_GRID_RATIOS)
-    report = run_sweep(d_list, ratios, args.trials, args.seed, args.tol,
-                       args.threads)
+    report = run_sweep(d_list, ratios, args.trials, args.seed, args.threads)
     json_text = render_json(report)
     csv_text = render_csv(report.cells, SWEEP_FIELDS)
     if args.out:
@@ -746,7 +743,7 @@ def cmd_norms(args, stdout) -> int:
             if shape.is_diagonal:
                 norms.append(float(np.max(np.abs(np.diagonal(mat)))))
             else:
-                norms.append(spectral.spectral_norm(mat, tol=args.tol).norm_estimate)
+                norms.append(spectral.spectral_norm(mat).norm_estimate)
         bound = graphmat.block_value(shape, args.d, m, args.q, args.dv).total
         rows.append({
             "shape": name, "d": args.d, "m": m, "trials": args.trials,
@@ -821,8 +818,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="restrict output to one format")
     sub.add_argument("--threads", type=int, default=0,
                      help="worker threads; 0 = auto (results identical)")
-    sub.add_argument("--tol", type=float, default=1e-10,
-                     help="spectral iteration tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:

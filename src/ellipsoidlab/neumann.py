@@ -9,16 +9,14 @@ small-scale oracle (truncated_T0_exact).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .construction import Decomposition
-from .sampling import _generator
 
 
 class DivergentSeriesError(RuntimeError):
-    """Power-iteration estimate of ||T|| reached 1; the series cannot converge."""
+    """||T|| reached 1; the series cannot converge."""
 
 
 class SizeLimitError(RuntimeError):
@@ -32,20 +30,6 @@ _ORACLE_MAX_M = 64
 _ORACLE_MAX_DEG = 6
 
 
-@dataclass(frozen=True)
-class NeumannConfig:
-    """Truncation depth plus optional oracle-mode occurrence caps."""
-
-    K: int
-    caps: tuple[int, int, int, int] | None = None
-
-    def __post_init__(self):
-        if self.K < 0:
-            raise ValueError(f"truncation degree must be >= 0, got {self.K}")
-        if self.caps is not None and (len(self.caps) != 4 or min(self.caps) < 0):
-            raise ValueError(f"caps must be four nonnegative integers, got {self.caps}")
-
-
 def default_depth(d: int) -> int:
     """Default truncation degree: ceil(log2 d) + 4."""
     return math.ceil(math.log2(max(2, d))) + 4
@@ -54,7 +38,7 @@ def default_depth(d: int) -> int:
 def _check_convergent(dec: Decomposition) -> None:
     if dec.t_norm_est >= 1.0:
         raise DivergentSeriesError(
-            f"||T|| estimate {dec.t_norm_est:.4f} >= 1: Neumann series diverges"
+            f"||T|| = {dec.t_norm_est:.4f} >= 1: Neumann series diverges"
         )
 
 
@@ -119,38 +103,18 @@ def truncated_T0_exact(
     return total
 
 
-def truncation_error(dec: Decomposition, k: int, max_iter: int = 2000) -> float:
-    """Spectral-norm estimate of A^{-1} minus the degree-k partial sum.
+def truncation_error(dec: Decomposition, k: int) -> float:
+    """Spectral norm of A^{-1} minus the degree-k partial sum, in closed form.
 
-    Power iteration on the symmetric difference operator, applied through the
-    cached A solve and neumann_apply; the operator is never materialized.
+    On an eigenvalue lam of A the difference has eigenvalue (1 - lam)^{k+1} /
+    lam. While ||T|| < 1 every lam lies in (0, 2), where that modulus falls
+    on (0, 1] and rises on [1, 2), so the norm is attained at lambda_min or
+    lambda_max of A.
     """
+    if k < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {k}")
     _check_convergent(dec)
-
-    def apply_diff(vec: np.ndarray) -> np.ndarray:
-        return dec.apply_ainv(vec) - neumann_apply(dec, vec, k)
-
-    rng = _generator(0)
-    v = rng.standard_normal(dec.m)
-    v /= np.linalg.norm(v)
-    rayleigh = None
-    stable = 0
-    for _ in range(max_iter):
-        w = apply_diff(v)
-        norm_w = float(np.linalg.norm(w))
-        new = float(v @ w)
-        if norm_w < 1e-13:
-            # ||Delta v|| bounds the Rayleigh quotient; below this floor the
-            # estimate sits in rounding noise and iterating cannot refine it
-            return norm_w
-        if rayleigh is not None and abs(new - rayleigh) <= 1e-12 * max(
-            abs(new), 1e-30
-        ):
-            stable += 1
-            if stable >= 3:
-                return abs(new)
-        else:
-            stable = 0
-        rayleigh = new
-        v = w / norm_w
-    return abs(rayleigh) if rayleigh is not None else 0.0
+    rep = dec.a_spectrum
+    return max(
+        abs(1.0 - lam) ** (k + 1) / lam for lam in (rep.lambda_min, rep.lambda_max)
+    )

@@ -1,10 +1,8 @@
-"""Spectral-norm estimation and PSD certification for symmetric matrices.
+"""Spectral norms and PSD certification for symmetric matrices.
 
-Both spectrum ends come from power iteration with shift-and-deflate: a first
-pass finds the eigenvalue of largest modulus, a second pass runs on the
-matrix shifted by it, whose dominant eigenvalue is the opposite spectrum end
-minus the shift. Convergence is judged on the Rayleigh quotient and reported
-honestly via the `converged` flag.
+Each report is one dense symmetric eigensolve (`numpy.linalg.eigvalsh`), so
+both spectrum ends are exact to rounding and no verdict rests on an
+iteration that stopped early.
 """
 from __future__ import annotations
 
@@ -12,93 +10,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import _generator
-
 
 @dataclass(frozen=True)
 class SpectralReport:
     norm_estimate: float
     lambda_min: float
     lambda_max: float
-    iterations: int
-    converged: bool
-    tolerance: float
 
 
-def _power_iteration(mat, shift, tol, max_iter, rng):
-    """Dominant (largest-modulus) eigenvalue of mat - shift*I.
-
-    The shifted matrix is applied as mat @ v - shift * v, never materialized.
-    Returns (eigenvalue, iterations, converged); converged means the Rayleigh
-    quotient moved by less than tol relatively on 3 consecutive iterations.
-    """
-    n = mat.shape[0]
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    rayleigh = None
-    stable = 0
-    for it in range(1, max_iter + 1):
-        w = mat @ v
-        if shift != 0.0:
-            w -= shift * v
-        norm_w = float(np.linalg.norm(w))
-        new = float(v @ w)
-        if norm_w == 0.0:
-            # v lies in the kernel and stays there: dominant eigenvalue is 0
-            return 0.0, it, True
-        if rayleigh is not None and abs(new - rayleigh) <= tol * max(1.0, abs(new)):
-            stable += 1
-            if stable >= 3:
-                return new, it, True
-        else:
-            stable = 0
-        rayleigh = new
-        v = w / norm_w
-    return rayleigh if rayleigh is not None else 0.0, max_iter, False
-
-
-def spectral_norm(
-    msym: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    seed: int = 0,
-) -> SpectralReport:
-    """Estimate norm and extreme eigenvalues of a symmetric matrix.
-
-    Deterministic for a fixed seed (the power-iteration start vectors come
-    from a seeded counter-based stream).
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+def spectral_norm(msym: np.ndarray) -> SpectralReport:
+    """Norm and extreme eigenvalues of a symmetric matrix."""
     msym = np.asarray(msym, dtype=float)
     if msym.ndim != 2 or msym.shape[0] != msym.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {msym.shape}")
-    n = msym.shape[0]
-    if n == 0:
-        return SpectralReport(0.0, 0.0, 0.0, 0, True, tol)
-    scale = float(np.max(np.abs(msym))) if msym.size else 0.0
+    if msym.shape[0] == 0:
+        return SpectralReport(0.0, 0.0, 0.0)
+    scale = float(np.max(np.abs(msym)))
     asym = float(np.max(np.abs(msym - msym.T)))
     if asym > 1e-10 * max(1.0, scale):
         raise ValueError(f"matrix not symmetric: max asymmetry {asym:.3e}")
-    if n == 1:
-        val = float(msym[0, 0])
-        return SpectralReport(abs(val), val, val, 0, True, tol)
-    if scale == 0.0:
-        return SpectralReport(0.0, 0.0, 0.0, 0, True, tol)
-
-    rng = _generator(seed)
-    lam_a, it1, ok1 = _power_iteration(msym, 0.0, tol, max_iter, rng)
-    # Deflate: spectrum of (M - lam_a I) is one-signed, its dominant
-    # eigenvalue is the opposite extreme minus lam_a.
-    lam_shift, it2, ok2 = _power_iteration(msym, lam_a, tol, max_iter, rng)
-    lam_b = lam_shift + lam_a
+    eigs = np.linalg.eigvalsh(msym)
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     return SpectralReport(
-        norm_estimate=max(abs(lam_a), abs(lam_b)),
-        lambda_min=min(lam_a, lam_b),
-        lambda_max=max(lam_a, lam_b),
-        iterations=it1 + it2,
-        converged=ok1 and ok2,
-        tolerance=tol,
+        norm_estimate=max(abs(lam_min), abs(lam_max)),
+        lambda_min=lam_min,
+        lambda_max=lam_max,
     )
 
 

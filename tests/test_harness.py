@@ -1,10 +1,15 @@
 """Trial records, sweep grid, lemma suite, serialization, CLI contracts."""
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import eig_extremes
 from ellipsoidlab import construction, graphmat, harness, sampling
 
 
@@ -40,6 +45,19 @@ def test_fit_trial_overdetermined_is_degenerate():
     assert rec.normEtaSq is not None
 
 
+def test_fit_trial_near_tied_spectrum_ends():
+    # R's two spectrum ends have near-equal modulus on this draw; power
+    # iteration stopped unconverged and reported lambdaMinLambda = -0.0604
+    seed, d, m = 7242001090113686551, 150, 2812
+    rec = harness.run_fit_trial(seed, d, m)
+    sample = sampling.sample_vectors(seed, d, m)
+    cand = construction.solve_weights(construction.decompose(sample), sample)
+    _norm, _lmin, lmax = eig_extremes(cand.R)
+    assert rec.lambdaMinLambda == pytest.approx(1.0 - lmax, abs=1e-9)
+    assert rec.lambdaMinLambda == pytest.approx(-0.23466, abs=1e-5)
+    assert rec.feasible is False
+
+
 def test_fit_trial_singular_gram_reason(monkeypatch):
     def boom(dec, sample):
         raise construction.SingularMatrixError("forced")
@@ -69,7 +87,7 @@ def test_fit_cli_json_deterministic():
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
-    assert payload["schema"] == "2"
+    assert payload["schema"] == "3"
     assert "wallMillis" not in out1
     assert set(payload["record"]) == set(harness.FIT_FIELDS)
 
@@ -89,7 +107,7 @@ def test_fit_cli_out_writes_both_formats(tmp_path):
     assert (tmp_path / "rep.json").exists()
     assert (tmp_path / "rep.csv").exists()
     on_disk = json.loads((tmp_path / "rep.json").read_text())
-    assert on_disk["schema"] == "2"
+    assert on_disk["schema"] == "3"
 
 
 def test_sweep_cli_out_single_format(tmp_path):
@@ -114,11 +132,27 @@ def test_sweep_cli_out_single_format(tmp_path):
     ["fit", "--d", "10", "--m", "5", "--seed", str(2**64)],
     ["sweep", "--d-list", "10", "--ratios", "zz", "--trials", "2"],
     ["verify-lemmas", "--sizes", "500x2500", "--trials", "1", "--quick"],
+    ["fit", "--d", "10", "--m", "20", "--tol", "1e-6"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     code, _ = run_cli(argv)
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellipsoidlab", "fit", "--d", "5", "--m", "8"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "fit"
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_unknown_shape_exits_one(capsys):
@@ -145,11 +179,11 @@ def test_sweep_partial_on_interrupt(monkeypatch):
     real = harness.run_fit_trial
     calls = {"n": 0}
 
-    def flaky(seed, d, m, tol=1e-10):
+    def flaky(seed, d, m):
         calls["n"] += 1
         if calls["n"] > 3:
             raise KeyboardInterrupt
-        return real(seed, d, m, tol)
+        return real(seed, d, m)
 
     monkeypatch.setattr(harness, "run_fit_trial", flaky)
     report = harness.run_sweep([10], [0.1, 0.2], trials=3, seed=0, threads=1)
@@ -171,7 +205,7 @@ def test_sweep_cli_interrupt_exit_code(monkeypatch):
 
 def test_sweep_rates_track_feasibility_transition():
     report = harness.run_sweep([60], [1 / 200, 0.6], trials=8, seed=0)
-    assert report.schema == "2"
+    assert report.schema == "3"
     easy, hard = report.cells
     assert easy.m == 18 and hard.m == 2160
     assert easy.feasibility_rate >= 0.9

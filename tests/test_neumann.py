@@ -13,16 +13,7 @@ def dec48():
 
 
 # ---------------------------------------------------------------------------
-# config and depth heuristic
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        neumann.NeumannConfig(K=-1)
-    with pytest.raises(ValueError):
-        neumann.NeumannConfig(K=4, caps=(1, 2, 3))
-    with pytest.raises(ValueError):
-        neumann.NeumannConfig(K=4, caps=(1, -2, 3, 4))
+# depth heuristic
 
 
 def test_default_depth_values():
@@ -61,6 +52,14 @@ def test_truncation_error_tail_bound(dec48):
     for k in (1, 2, 5, 10, 20):
         err = neumann.truncation_error(dec48, k)
         assert err <= t ** (k + 1) / (1.0 - t) * (1.0 + 1e-6)
+
+
+def test_truncation_error_matches_dense_difference(dec48):
+    ainv = np.linalg.inv(dec48.A)
+    for k in (1, 5, 10):
+        diff = ainv - oracles.dense_partial_sum(dec48, k)
+        want = float(np.max(np.abs(np.linalg.eigvalsh((diff + diff.T) / 2))))
+        assert neumann.truncation_error(dec48, k) == pytest.approx(want, abs=1e-10)
 
 
 def test_truncation_error_monotone(dec48):
