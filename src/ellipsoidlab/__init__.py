@@ -12,7 +12,6 @@ from .construction import (
     IllConditionedWarning,
     SingularMatrixError,
     assemble_R_split,
-    build_gram,
     decompose,
     solve_weights,
     woodbury_inverse_eta,
@@ -86,7 +85,6 @@ __all__ = [
     "UnknownShapeError",
     "assemble_R_split",
     "block_value",
-    "build_gram",
     "catalog",
     "decompose",
     "default_block_cap",

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -24,13 +25,19 @@ import numpy as np
 
 from . import construction, graphmat, neumann, sampling, spectral
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 DEFAULT_GRID_D = (40, 60, 100, 150)
 DEFAULT_GRID_RATIOS = (
     1 / 400, 1 / 200, 1 / 100, 1 / 50, 1 / 20, 1 / 8, 1 / 4, 1 / 2,
 )
 DEFAULT_LEMMA_SIZES = ((500, 2500), (400, 1600))
+
+#: m x m float64 arrays one fit trial holds at its peak (A and its factor,
+#: with room for the smaller temporaries)
+TRIAL_ARRAYS = 2.5
+#: ThreadPoolExecutor's default worker count, used for --threads 0
+_AUTO_WORKERS = min(32, (os.cpu_count() or 1) + 4)
 
 
 class UsageError(Exception):
@@ -77,7 +84,8 @@ def run_fit_trial(seed: int, d: int, m: int) -> TrialRecord:
     """sample -> decompose -> solve -> spectral checks, one record.
 
     Singular or ill-conditioned systems yield a degenerate record with a
-    reason code instead of an exception.
+    reason code instead of an exception; a Woodbury correction with
+    s^2 - ru ~ 0 counts as a singular Gram system.
     """
     start = time.perf_counter()
     sample = sampling.sample_vectors(seed, d, m)
@@ -102,7 +110,8 @@ def run_fit_trial(seed: int, d: int, m: int) -> TrialRecord:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", construction.IllConditionedWarning)
             cand = construction.solve_weights(dec, sample)
-    except construction.SingularMatrixError:
+    except (construction.SingularMatrixError,
+            construction.DegenerateScalarsError):
         return degenerate("singular-gram", dec)
     rep_r = spectral.spectral_norm(cand.R)
     feasible = spectral.psd_check(cand.Lambda)
@@ -209,6 +218,33 @@ def _monotonicity_warnings(cells: Sequence[SweepCell]) -> tuple[str, ...]:
     return tuple(out)
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def cell_workers(d: int, ratio: float, m: int, trials: int, threads: int) -> int:
+    """Trials a sweep cell runs at once, checked against physical memory.
+
+    Each trial in flight holds ~TRIAL_ARRAYS m x m float64 arrays. An
+    explicit thread count that does not fit raises UsageError naming the
+    cell and the bytes it needs; threads=0 (auto) lowers the worker count
+    until it fits, and raises only when one trial alone does not.
+    """
+    need = int(TRIAL_ARRAYS * m * m * 8)
+    have = physical_memory()
+    in_flight = min(trials, threads if threads > 0 else _AUTO_WORKERS)
+    if threads <= 0:
+        in_flight = max(1, min(in_flight, have // need))
+    if in_flight * need > have:
+        raise UsageError(
+            f"cell d={d} ratio={ratio} (m={m}) needs {in_flight * need} bytes "
+            f"for {in_flight} trial(s) in flight, more than the {have} bytes "
+            "of physical memory; lower --threads or drop the cell"
+        )
+    return in_flight
+
+
 def run_sweep(
     d_list: Sequence[int] = DEFAULT_GRID_D,
     ratio_list: Sequence[float] = DEFAULT_GRID_RATIOS,
@@ -219,7 +255,8 @@ def run_sweep(
     """Feasibility-rate grid over (d, m/d^2) cells.
 
     A KeyboardInterrupt mid-grid returns the partial report (flagged) instead
-    of propagating, so partial results can still be flushed.
+    of propagating, so partial results can still be flushed. Every cell is
+    checked against physical memory (cell_workers) before any cell runs.
     """
     for d in d_list:
         if d < 1:
@@ -229,22 +266,25 @@ def run_sweep(
             raise UsageError(f"ratio must be > 0, got {ratio}")
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    plan = []
+    for d in d_list:
+        for ratio in ratio_list:
+            m = int(d * d * ratio)
+            if m < 1:
+                raise UsageError(
+                    f"cell d={d} ratio={ratio} gives m < 1; "
+                    "require d*d*ratio >= 1"
+                )
+            plan.append((d, ratio, m, cell_workers(d, ratio, m, trials, threads)))
     cells: list[SweepCell] = []
     interrupted = False
     try:
-        for d in d_list:
-            for ratio in ratio_list:
-                m = int(d * d * ratio)
-                if m < 1:
-                    raise UsageError(
-                        f"cell d={d} ratio={ratio} gives m < 1; "
-                        "require d*d*ratio >= 1"
-                    )
-                records = _run_trials(
-                    lambda t: run_fit_trial(sampling.trial_seed(seed, t), d, m),
-                    trials, threads,
-                )
-                cells.append(_summarize_cell(d, ratio, m, records))
+        for d, ratio, m, workers in plan:
+            records = _run_trials(
+                lambda t: run_fit_trial(sampling.trial_seed(seed, t), d, m),
+                trials, workers,
+            )
+            cells.append(_summarize_cell(d, ratio, m, records))
     except KeyboardInterrupt:
         interrupted = True
     return SweepReport(
@@ -385,7 +425,8 @@ def lemma_suite(
             ).norm_estimate / (m / d)
             try:
                 cand = construction.solve_weights(dec, s)
-            except construction.SingularMatrixError:
+            except (construction.SingularMatrixError,
+                    construction.DegenerateScalarsError):
                 out["norm_r"] = None
                 out["split_residual"] = None
                 return out

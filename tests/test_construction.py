@@ -1,5 +1,6 @@
 """Gram system, structured decomposition, Woodbury route, and the solver."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,34 +20,36 @@ def _custom(vectors) -> sampling.SampleSet:
 
 
 # ---------------------------------------------------------------------------
-# Gram assembly
+# Gram assembly (M = A + B on the decomposition)
 
 
 def test_build_gram_orthonormal_rows():
-    m_mat, eta = construction.build_gram(_custom([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.array_equal(m_mat, np.eye(2))
-    assert np.array_equal(eta, np.zeros(2))
+    # in R^2 two orthonormal rows make A = I - J/2 exactly singular, so the
+    # rows live in R^3, where A = I - J/3
+    dec = construction.decompose(_custom([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    assert np.array_equal(dec.M, np.eye(2))
+    assert np.array_equal(dec.eta, np.zeros(2))
 
 
 def test_build_gram_duplicate_rows():
-    m_mat, eta = construction.build_gram(_custom([[1.0, 0.0], [1.0, 0.0]]))
-    assert np.array_equal(m_mat, np.ones((2, 2)))
-    assert np.array_equal(eta, np.zeros(2))
+    dec = construction.decompose(_custom([[1.0, 0.0], [1.0, 0.0]]))
+    assert np.array_equal(dec.M, np.ones((2, 2)))
+    assert np.array_equal(dec.eta, np.zeros(2))
 
 
 def test_build_gram_single_long_row():
-    m_mat, eta = construction.build_gram(_custom([[2.0, 0.0]]))
-    assert np.array_equal(m_mat, np.array([[16.0]]))
-    assert np.array_equal(eta, np.array([3.0]))
+    dec = construction.decompose(_custom([[2.0, 0.0]]))
+    assert np.array_equal(dec.M, np.array([[16.0]]))
+    assert np.array_equal(dec.eta, np.array([3.0]))
 
 
 def test_build_gram_matches_brute():
     for seed in range(5):
         s = _sample(seed, 5, 4)
-        m_mat, eta = construction.build_gram(s)
+        dec = construction.decompose(s)
         bm, be = oracles.brute_gram(s.vectors)
-        assert np.allclose(m_mat, bm, atol=1e-12)
-        assert np.allclose(eta, be, atol=1e-12)
+        assert np.allclose(dec.M, bm, atol=1e-12)
+        assert np.allclose(dec.eta, be, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +148,20 @@ def test_candidate_fields_consistent():
     assert cand.residual == pytest.approx(float(np.max(np.abs(quad - 1.0))),
                                           abs=1e-15)
     assert np.allclose(dec.M @ cand.w, dec.eta, atol=1e-9)
+
+
+def test_fit_memory_peak_within_budget():
+    # one draw holds A and its factor: at most 2.5 m x m float64 arrays
+    m = 1000
+    s = _sample(1, 60, m)
+    tracemalloc.start()
+    try:
+        dec = construction.decompose(s)
+        construction.solve_weights(dec, s)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * m * m * 8
 
 
 # ---------------------------------------------------------------------------

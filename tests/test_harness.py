@@ -1,4 +1,5 @@
 """Trial records, sweep grid, lemma suite, serialization, CLI contracts."""
+import dataclasses
 import io
 import json
 import os
@@ -69,6 +70,20 @@ def test_fit_trial_singular_gram_reason(monkeypatch):
     assert rec.r is not None  # decomposition succeeded, scalars are known
 
 
+def test_fit_trial_degenerate_scalars_reason(monkeypatch):
+    # s^2 - ru = 0 makes the Woodbury route to w undefined: a singular Gram
+    real = construction.decompose
+
+    def broken(sample):
+        return dataclasses.replace(real(sample), r=1.0, s=0.0, u=0.0)
+
+    monkeypatch.setattr(harness.construction, "decompose", broken)
+    rec = harness.run_fit_trial(0, 20, 40)
+    assert rec.degenerate is True and rec.feasible is False
+    assert rec.reason == "singular-gram"
+    assert (rec.r, rec.s, rec.u) == (1.0, 0.0, 0.0)
+
+
 def test_record_payload_drops_wall_clock():
     rec = harness.run_fit_trial(1, 30, 60)
     payload = harness.record_payload(rec)
@@ -87,7 +102,7 @@ def test_fit_cli_json_deterministic():
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
-    assert payload["schema"] == "3"
+    assert payload["schema"] == "4"
     assert "wallMillis" not in out1
     assert set(payload["record"]) == set(harness.FIT_FIELDS)
 
@@ -107,7 +122,7 @@ def test_fit_cli_out_writes_both_formats(tmp_path):
     assert (tmp_path / "rep.json").exists()
     assert (tmp_path / "rep.csv").exists()
     on_disk = json.loads((tmp_path / "rep.json").read_text())
-    assert on_disk["schema"] == "3"
+    assert on_disk["schema"] == "4"
 
 
 def test_sweep_cli_out_single_format(tmp_path):
@@ -205,7 +220,7 @@ def test_sweep_cli_interrupt_exit_code(monkeypatch):
 
 def test_sweep_rates_track_feasibility_transition():
     report = harness.run_sweep([60], [1 / 200, 0.6], trials=8, seed=0)
-    assert report.schema == "3"
+    assert report.schema == "4"
     easy, hard = report.cells
     assert easy.m == 18 and hard.m == 2160
     assert easy.feasibility_rate >= 0.9
@@ -233,6 +248,40 @@ def test_sweep_validation():
         harness.run_sweep([10], [0.1], trials=0)
     with pytest.raises(harness.UsageError):
         harness.run_sweep([10], [1 / 200], trials=2)  # m = 0 cell
+
+
+def test_sweep_memory_guard_passes_default_grid_at_two_threads(monkeypatch):
+    monkeypatch.setattr(harness, "physical_memory", lambda: 7 * 10**9)
+    for d in harness.DEFAULT_GRID_D:
+        for ratio in harness.DEFAULT_GRID_RATIOS:
+            m = int(d * d * ratio)
+            assert harness.cell_workers(d, ratio, m, 50, 2) == 2
+
+
+def test_sweep_memory_guard_rejects_cell_before_any_trial(monkeypatch, capsys):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the memory check")
+
+    monkeypatch.setattr(harness, "physical_memory", lambda: 7 * 10**9)
+    monkeypatch.setattr(harness, "run_fit_trial", no_trial)
+    # three trials of m = 11250 need 3 * 2.5 * 11250^2 * 8 bytes
+    with pytest.raises(harness.UsageError,
+                       match=r"d=150 ratio=0\.5 \(m=11250\) needs 7593750000 bytes"):
+        harness.run_sweep([20, 150], [1 / 2], trials=4, threads=3)
+    code, _ = run_cli(["sweep", "--d-list", "20", "150", "--ratios", "1/2",
+                       "--trials", "4", "--threads", "3"])
+    assert code == 1
+    assert "d=150 ratio=0.5" in capsys.readouterr().err
+
+
+def test_sweep_memory_guard_auto_threads_fit_memory(monkeypatch):
+    monkeypatch.setattr(harness, "physical_memory", lambda: 7 * 10**9)
+    assert harness.cell_workers(150, 0.5, 11250, 50, 0) == 2
+    assert harness.cell_workers(150, 0.5, 11250, 1, 0) == 1
+    # auto mode still refuses a cell where one trial alone does not fit
+    monkeypatch.setattr(harness, "physical_memory", lambda: 2 * 10**9)
+    with pytest.raises(harness.UsageError, match="d=150"):
+        harness.cell_workers(150, 0.5, 11250, 50, 0)
 
 
 def test_sweep_cli_empty_ratio_list():
