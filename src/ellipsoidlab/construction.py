@@ -13,9 +13,11 @@ split MD = MD1 + MD2 + (2 + 2/d) MD3. The weight vector solving M w = eta
 yields the candidate Lambda = I - sum_i w_i v_i v_i^T.
 
 Each draw costs one m x m x d product and one factorization: A is built in
-place as the squared Gram minus B, factored once (Cholesky, else LU), and
-M^{-1} eta = c1 A^{-1} eta + c2 A^{-1} 1 follows from the two solves against
-A by the Woodbury identity. M itself is never factored.
+place as the squared Gram minus B, factored once, and M^{-1} eta =
+c1 A^{-1} eta + c2 A^{-1} 1 follows from the two solves against A by the
+Woodbury identity. M itself is never factored. The factor is a float32
+Cholesky factor whose solves are refined to float64 accuracy against the
+float64 A; float64 pivoted LU is the fallback when that fails.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import graphmat, spectral
 from .sampling import SampleSet
@@ -47,31 +49,100 @@ _COND_THRESHOLD = 1e8
 _RESIDUAL_TOL = 1e-8
 # rows of B subtracted per step while A is built, so no m x m temporary
 _BLOCK_ROWS = 128
+# LAPACK DSPOSV's cap on refinement steps before it falls back to float64
+_MAX_REFINE = 30
 
 
-def _factored_solver(mat: np.ndarray, anorm: float):
-    """Factor a symmetric matrix for repeated solves.
+def _columns(x: np.ndarray) -> np.ndarray:
+    """The columns of a vector (one column) or of an m x k array, as views."""
+    return x.reshape(len(x), -1).T
 
-    Tries Cholesky first (the expected near-identity SPD case), falling back
-    to pivoted LU. Returns (solve, cond_estimate, method). cond_estimate is
-    1/rcond from the LAPACK 1-norm estimator on the factorization, given the
-    1-norm anorm of mat.
+
+def _solve32(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b in float64 from A's float32 Cholesky factor c (lower).
+
+    Two strsv calls per column: spotrs goes through the blocked strsm,
+    which is several times slower for one or two right-hand sides.
     """
-    try:
-        c, lower = sla.cho_factor(mat)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        rcond, info = lapack.dpocon(c, anorm, uplo="L" if lower else "U")
+    x = np.empty(b.shape)
+    for b_col, x_col in zip(_columns(b), _columns(x)):
+        y = blas.strsv(c, b_col.astype(np.float32), lower=1, overwrite_x=1)
+        x_col[:] = blas.strsv(c, y, lower=1, trans=1, overwrite_x=1)
+    return x
+
+
+def _residual(a_mat: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - A x in float64, by dsymv: A is symmetric and dsymv reads one
+    triangle of it, half the memory traffic of a general product."""
+    r = np.empty(b.shape)
+    for x_col, b_col, r_col in zip(_columns(x), _columns(b), _columns(r)):
+        # a_mat.T is the Fortran-ordered view, so f2py copies nothing
+        r_col[:] = blas.dsymv(-1.0, a_mat.T, x_col, beta=1.0, y=b_col, lower=1)
+    return r
+
+
+def _refined_solve(a_mat: np.ndarray, c: np.ndarray, a_norm1: float, b: np.ndarray):
+    """Solve A x = b with A's float32 Cholesky factor c, refined in float64.
+
+    Each step adds the correction solved from the float64 residual b - A x.
+    Refinement stops one step after LAPACK DSPOSV's rule ||b - A x||_inf <=
+    sqrt(m) eps64 ||A||_1 ||x||_inf holds in every column: the rule bounds
+    the backward error, but at cond(A) ~ 1e6 the iterate it accepts can be
+    off by ~1e-11 relative, and the extra step brings that to the ~1e-13 of
+    a float64 direct solve. Returns (x, b - A x, steps), or None when the
+    rule is not met within _MAX_REFINE steps.
+    """
+    bound = np.sqrt(a_mat.shape[0]) * np.finfo(np.float64).eps * a_norm1
+    x = _solve32(c, b)
+    residual = _residual(a_mat, x, b)
+    for steps in range(1, _MAX_REFINE + 1):
+        met = np.all(np.abs(residual).max(axis=0) <= bound * np.abs(x).max(axis=0))
+        x += _solve32(c, residual)
+        residual = _residual(a_mat, x, b)
+        if met:
+            return x, residual, steps
+    return None
+
+
+def _factored_solver(a_mat: np.ndarray, a_norm1: float, rhs: np.ndarray):
+    """Factor A once and solve A X = rhs.
+
+    A is near-identity, so a float32 Cholesky factor is a good enough
+    preconditioner for float64 iterative refinement to reach float64
+    accuracy in two or three steps (LAPACK's DSPOSV scheme). If spotrf fails or
+    refinement misses its stopping rule, the float32 factor is dropped and
+    A is factored by float64 pivoted LU instead.
+
+    Returns (solve, cond_estimate, method, (x, rhs - A x, refinement
+    steps)). solve(b) applies A^{-1} with the same factor; method is
+    "mixed" or "lu". cond_estimate is 1/rcond from the LAPACK 1-norm
+    estimator on the factor, given A's 1-norm a_norm1.
+    """
+    a32 = a_mat.astype(np.float32)
+    # a32.T is the Fortran-ordered view of the symmetric copy, so spotrf
+    # factors it in place instead of copying it again
+    c, info = lapack.spotrf(a32.T, lower=1, overwrite_a=1, clean=0)
+    first = None if info else _refined_solve(a_mat, c, a_norm1, rhs)
+    if first is not None:
+        rcond, _info = lapack.spocon(c, a_norm1, uplo="L")
         cond = float("inf") if rcond == 0 else 1.0 / float(rcond)
-        return (lambda b: sla.cho_solve((c, lower), b)), cond, "cholesky"
+
+        def solve(b):
+            out = _refined_solve(a_mat, c, a_norm1, b)
+            if out is None:
+                raise SingularMatrixError("iterative refinement against A did not converge")
+            return out[0]
+
+        return solve, cond, "mixed", first
+    del a32, c  # released before LU's float64 copy of A
     with warnings.catch_warnings():
         # a singular U shows up in the residual check instead
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(mat)
-    rcond, info = lapack.dgecon(lu, anorm, norm="1")
+        lu, piv = sla.lu_factor(a_mat)
+    rcond, _info = lapack.dgecon(lu, a_norm1, norm="1")
     cond = float("inf") if rcond == 0 else 1.0 / float(rcond)
-    return (lambda b: sla.lu_solve((lu, piv), b)), cond, "lu"
+    x = sla.lu_solve((lu, piv), rhs)
+    return (lambda b: sla.lu_solve((lu, piv), b)), cond, "lu", (x, rhs - a_mat @ x, 0)
 
 
 def _check_solution(x, residual, b, what: str) -> None:
@@ -95,8 +166,10 @@ def _b_rows(eta: np.ndarray, rows: slice, d: int) -> np.ndarray:
 class Decomposition:
     """A's factorization, the diagonal parts, and the Woodbury scalars.
 
-    A and its factor are the only m x m arrays held. Diagonal parts (md, md1, md2, md3) are
-    length-m vectors holding the diagonals. M, Malpha, Mbeta and B are
+    The float64 A plus a float32 Cholesky factor of it (half an m x m
+    array) are the only m x m arrays held; on the LU fallback the factor is
+    a float64 LU. Diagonal parts (md, md1, md2, md3) are length-m vectors
+    holding the diagonals. M, Malpha, Mbeta and B are
     computed on each access and not cached: M = A + B, Malpha and Mbeta
     through `graphmat.realize` on the sample, B from eta (it is rank 2).
     """
@@ -115,6 +188,8 @@ class Decomposition:
     u: float
     a_norm1: float  # ||A||_1
     cond_a: float  # 1-norm condition estimate of A
+    solver: str  # "mixed" (float32 Cholesky, float64 refinement) or "lu"
+    refine_steps: int  # refinement steps of the A X = [1, eta] solve (0 for LU)
     ainv_one: np.ndarray  # A^{-1} 1
     ainv_eta: np.ndarray  # A^{-1} eta
     _solve_a: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -143,7 +218,11 @@ class Decomposition:
         return graphmat.realize("mbeta", self.sample)
 
     def apply_ainv(self, x: np.ndarray) -> np.ndarray:
-        """Solve A y = x using the cached factorization."""
+        """Solve A y = x using the cached factorization.
+
+        On the mixed path the solve is refined to float64 accuracy and
+        raises SingularMatrixError if refinement does not converge.
+        """
         return self._solve_a(x)
 
     def apply_b(self, x: np.ndarray) -> np.ndarray:
@@ -205,10 +284,11 @@ def decompose(sample: SampleSet) -> Decomposition:
         # A is symmetric, so its largest absolute row sum is its 1-norm
         a_norm1 = max(a_norm1, float(np.abs(a_mat[rows]).sum(axis=1).max()))
 
-    solve_a, cond_a, _ = _factored_solver(a_mat, a_norm1)
     rhs = np.column_stack([np.ones(m), eta])
-    x = solve_a(rhs)
-    _check_solution(x, a_mat @ x - rhs, rhs, "A")
+    solve_a, cond_a, solver, (x, residual, refine_steps) = _factored_solver(
+        a_mat, a_norm1, rhs
+    )
+    _check_solution(x, residual, rhs, "A")
     ainv_one = np.ascontiguousarray(x[:, 0])
     ainv_eta = np.ascontiguousarray(x[:, 1])
     r = float(ainv_one.sum() / d)
@@ -230,6 +310,8 @@ def decompose(sample: SampleSet) -> Decomposition:
         u=u,
         a_norm1=a_norm1,
         cond_a=cond_a,
+        solver=solver,
+        refine_steps=refine_steps,
         ainv_one=ainv_one,
         ainv_eta=ainv_eta,
         _solve_a=solve_a,

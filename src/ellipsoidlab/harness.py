@@ -25,7 +25,7 @@ import numpy as np
 
 from . import construction, graphmat, neumann, sampling, spectral
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 DEFAULT_GRID_D = (40, 60, 100, 150)
 DEFAULT_GRID_RATIOS = (
@@ -33,7 +33,8 @@ DEFAULT_GRID_RATIOS = (
 )
 DEFAULT_LEMMA_SIZES = ((500, 2500), (400, 1600))
 
-#: m x m float64 arrays one fit trial holds at its peak (A and its factor,
+#: m x m float64 arrays one fit trial holds at its peak (A and its factor:
+#: ~1.6 with the float32 Cholesky factor, ~2.1 on the float64 LU fallback,
 #: with room for the smaller temporaries)
 TRIAL_ARRAYS = 2.5
 #: ThreadPoolExecutor's default worker count, used for --threads 0
