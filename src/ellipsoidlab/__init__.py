@@ -28,7 +28,6 @@ from .graphmat import (
     default_block_cap,
     get_shape,
     realize,
-    trace_moment_mc,
     verify_block_bound,
 )
 from .harness import (
@@ -105,7 +104,6 @@ __all__ = [
     "sample_vectors",
     "solve_weights",
     "spectral_norm",
-    "trace_moment_mc",
     "trial_seed",
     "truncated_T0_exact",
     "truncation_error",

@@ -47,7 +47,7 @@ class IllConditionedWarning(UserWarning):
 
 _COND_THRESHOLD = 1e8
 _RESIDUAL_TOL = 1e-8
-# rows of B subtracted per step while A is built, so no m x m temporary
+# rows per step of the pass that builds A, so no m x m temporary
 _BLOCK_ROWS = 128
 # LAPACK DSPOSV's cap on refinement steps before it falls back to float64
 _MAX_REFINE = 30
@@ -104,8 +104,33 @@ def _refined_solve(a_mat: np.ndarray, c: np.ndarray, a_norm1: float, b: np.ndarr
     return None
 
 
-def _factored_solver(a_mat: np.ndarray, a_norm1: float, rhs: np.ndarray):
-    """Factor A once and solve A X = rhs.
+def _build_a(v: np.ndarray, eta: np.ndarray):
+    """A = squared Gram - B in float64, its float32 copy, and ||A||_1.
+
+    One m x m x d product, then one pass per block of _BLOCK_ROWS rows
+    squares the Gram entries, subtracts B's rows, takes the rows' absolute
+    sums and rounds the rows to float32, while the block is still in cache.
+    """
+    m, d = v.shape
+    a_mat = v @ v.T
+    a32 = np.empty((m, m), dtype=np.float32)
+    # the one block-sized temporary: B's rows, then |A|'s rows
+    buf = np.empty((min(_BLOCK_ROWS, m), m))
+    a_norm1 = 0.0
+    for start in range(0, m, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = a_mat[rows]
+        np.multiply(block, block, out=block)  # now M[i,j] = <v_i,v_j>^2
+        block -= _b_rows(eta, rows, d, out=buf[: len(block)])
+        # A is symmetric, so its largest absolute row sum is its 1-norm
+        abs_rows = np.abs(block, out=buf[: len(block)])
+        a_norm1 = max(a_norm1, float(abs_rows.sum(axis=1).max()))
+        a32[rows] = block
+    return a_mat, a32, a_norm1
+
+
+def _factored_solver(v: np.ndarray, eta: np.ndarray, rhs: np.ndarray):
+    """Build A, factor it once and solve A X = rhs.
 
     A is near-identity, so a float32 Cholesky factor is a good enough
     preconditioner for float64 iterative refinement to reach float64
@@ -113,12 +138,13 @@ def _factored_solver(a_mat: np.ndarray, a_norm1: float, rhs: np.ndarray):
     refinement misses its stopping rule, the float32 factor is dropped and
     A is factored by float64 pivoted LU instead.
 
-    Returns (solve, cond_estimate, method, (x, rhs - A x, refinement
-    steps)). solve(b) applies A^{-1} with the same factor; method is
-    "mixed" or "lu". cond_estimate is 1/rcond from the LAPACK 1-norm
-    estimator on the factor, given A's 1-norm a_norm1.
+    Returns (A, ||A||_1, solve, cond_estimate, method, (x, rhs - A x,
+    refinement steps)). solve(b) applies A^{-1} with the same factor;
+    method is "mixed" or "lu". cond_estimate is 1/rcond from the LAPACK
+    1-norm estimator on the factor. The float32 copy of A is made here, so
+    that nothing else holds it when the fallback releases it.
     """
-    a32 = a_mat.astype(np.float32)
+    a_mat, a32, a_norm1 = _build_a(v, eta)
     # a32.T is the Fortran-ordered view of the symmetric copy, so spotrf
     # factors it in place instead of copying it again
     c, info = lapack.spotrf(a32.T, lower=1, overwrite_a=1, clean=0)
@@ -133,7 +159,7 @@ def _factored_solver(a_mat: np.ndarray, a_norm1: float, rhs: np.ndarray):
                 raise SingularMatrixError("iterative refinement against A did not converge")
             return out[0]
 
-        return solve, cond, "mixed", first
+        return a_mat, a_norm1, solve, cond, "mixed", first
     del a32, c  # released before LU's float64 copy of A
     with warnings.catch_warnings():
         # a singular U shows up in the residual check instead
@@ -142,7 +168,8 @@ def _factored_solver(a_mat: np.ndarray, a_norm1: float, rhs: np.ndarray):
     rcond, _info = lapack.dgecon(lu, a_norm1, norm="1")
     cond = float("inf") if rcond == 0 else 1.0 / float(rcond)
     x = sla.lu_solve((lu, piv), rhs)
-    return (lambda b: sla.lu_solve((lu, piv), b)), cond, "lu", (x, rhs - a_mat @ x, 0)
+    return (a_mat, a_norm1, (lambda b: sla.lu_solve((lu, piv), b)), cond, "lu",
+            (x, rhs - a_mat @ x, 0))
 
 
 def _check_solution(x, residual, b, what: str) -> None:
@@ -157,9 +184,15 @@ def _check_solution(x, residual, b, what: str) -> None:
         )
 
 
-def _b_rows(eta: np.ndarray, rows: slice, d: int) -> np.ndarray:
-    """Rows of B = (1/d)(J + 1 eta^T + eta 1^T); exactly symmetric entries."""
-    return (1.0 + (eta[rows, None] + eta[None, :])) / d
+def _b_rows(eta: np.ndarray, rows: slice, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of B = (1/d)(J + 1 eta^T + eta 1^T); exactly symmetric entries.
+
+    Written into `out` when given, else into a new array.
+    """
+    out = np.add(eta[rows, None], eta[None, :], out=out)
+    out += 1.0
+    out /= d
+    return out
 
 
 @dataclass
@@ -274,19 +307,11 @@ def decompose(sample: SampleSet) -> Decomposition:
     md1 = eta**2 - np.einsum("ij,ij->i", h2, h2)
     md2 = np.einsum("ij,ij->i", v2, v2) - (6.0 / d) * sq_norms + 3.0 / d
     md3 = eta
-
-    a_mat = v @ v.T
-    np.multiply(a_mat, a_mat, out=a_mat)  # now M[i,j] = <v_i,v_j>^2
-    a_norm1 = 0.0
-    for start in range(0, m, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        a_mat[rows] -= _b_rows(eta, rows, d)
-        # A is symmetric, so its largest absolute row sum is its 1-norm
-        a_norm1 = max(a_norm1, float(np.abs(a_mat[rows]).sum(axis=1).max()))
+    del v2, h2  # m x d, released before A's pass holds its block temporary
 
     rhs = np.column_stack([np.ones(m), eta])
-    solve_a, cond_a, solver, (x, residual, refine_steps) = _factored_solver(
-        a_mat, a_norm1, rhs
+    a_mat, a_norm1, solve_a, cond_a, solver, (x, residual, refine_steps) = (
+        _factored_solver(v, eta, rhs)
     )
     _check_solution(x, residual, rhs, "A")
     ainv_one = np.ascontiguousarray(x[:, 0])

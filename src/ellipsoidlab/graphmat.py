@@ -1,5 +1,5 @@
-"""Graph-matrix shapes, realization, trace-moment Monte Carlo, and the
-block-value bound calculus.
+"""Graph-matrix shapes, realization, the block-value bound calculus, and the
+one trial loop that measures realized traces and norms against it.
 
 A shape is a small template graph: square vertices range over point indices
 [m], circles over coordinates [d], and each edge carries a Hermite index.
@@ -10,6 +10,7 @@ vertex, pur, and edge factors per the localized deduction rules.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -161,6 +162,46 @@ def _as_shape(shape: Shape | str) -> Shape:
     return shape
 
 
+def _goe(seed: int, d: int) -> np.ndarray:
+    """The two-circle shape: a symmetric Gaussian matrix with entry variance
+    1/d, keyed by a trial's seed. It reads no vector set."""
+    return sampling.sample_goe(seed, d, 1.0 / d).entries
+
+
+def _diagonal(name: str, v: np.ndarray, d: int) -> np.ndarray:
+    """Diagonal of a diagonal shape (md1, md2, md3) as a length-m vector."""
+    if name == "md1":
+        h2 = hermite_scaled_eval(2, v, d)
+        row = h2.sum(axis=1)
+        return row * row - np.einsum("ij,ij->i", h2, h2)
+    if name == "md2":
+        return hermite_scaled_eval(4, v, d).sum(axis=1)
+    if name == "md3":
+        return hermite_scaled_eval(2, v, d).sum(axis=1)
+    raise UnknownShapeError(f"no diagonal realization for shape {name!r}")
+
+
+def _offdiagonal(name: str, v: np.ndarray, d: int) -> np.ndarray:
+    """Dense matrix of a zero-diagonal vector shape (malpha, mbeta, sumvv)."""
+    if name == "malpha":
+        # two m x m arrays at most: the a = b terms first, then the squared
+        # Gram in place. (v * v) is formed twice because numpy sends x @ x.T
+        # to syrk, whose last digits differ from gemm's at some sizes.
+        diag_terms = (v * v) @ (v * v).T
+        out = v @ v.T
+        out *= out
+        out -= diag_terms
+    elif name == "mbeta":
+        h2 = hermite_scaled_eval(2, v, d)
+        out = h2 @ h2.T
+    elif name == "sumvv":
+        out = v.T @ v
+    else:
+        raise UnknownShapeError(f"no realization for shape {name!r}")
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 def realize(shape: Shape | str, sample: SampleSet) -> np.ndarray:
     """Materialize the graph matrix for a shape from sampled data.
 
@@ -175,34 +216,11 @@ def realize(shape: Shape | str, sample: SampleSet) -> np.ndarray:
         raise DimensionTooSmallError(
             f"shape {shape.name} needs d >= 1 and m >= 1, got (d={d}, m={m})"
         )
-    if shape.name == "goe":
-        # two-circle shape: realized over a symmetric Gaussian matrix with
-        # entry variance 1/d, keyed by the sample's seed
-        return sampling.sample_goe(sample.seed, d, 1.0 / d).entries
-    if shape.name == "malpha":
-        p = v @ v.T
-        w = (v * v) @ (v * v).T
-        out = p * p - w
-        np.fill_diagonal(out, 0.0)
-        return out
-    if shape.name == "mbeta":
-        h2 = hermite_scaled_eval(2, v, d)
-        out = h2 @ h2.T
-        np.fill_diagonal(out, 0.0)
-        return out
-    if shape.name == "md1":
-        h2 = hermite_scaled_eval(2, v, d)
-        row = h2.sum(axis=1)
-        return np.diag(row * row - np.einsum("ij,ij->i", h2, h2))
-    if shape.name == "md2":
-        return np.diag(hermite_scaled_eval(4, v, d).sum(axis=1))
-    if shape.name == "md3":
-        return np.diag(hermite_scaled_eval(2, v, d).sum(axis=1))
-    if shape.name == "sumvv":
-        out = v.T @ v
-        np.fill_diagonal(out, 0.0)
-        return out
-    raise UnknownShapeError(f"no realization for shape {shape.name!r}")
+    if not shape.has_squares:
+        return _goe(sample.seed, d)
+    if shape.is_diagonal:
+        return np.diag(_diagonal(shape.name, v, d))
+    return _offdiagonal(shape.name, v, d)
 
 
 @dataclass(frozen=True)
@@ -348,38 +366,40 @@ def _matrix_dimension(shape: Shape, d: int, m: int) -> int:
     return m if kind == SQUARE else d
 
 
-def _trace_and_norm(shape: Shape, sample: SampleSet, q: int) -> tuple[float, float]:
-    """tr((M M^T)^q) and spectral norm of one realized matrix."""
-    mat = realize(shape, sample)
+def _trace_and_norm(
+    shape: Shape, key: int, v: np.ndarray | None, d: int, q: int
+) -> tuple[float, float]:
+    """tr((M M^T)^q) and spectral norm of one trial's matrix: a diagonal
+    shape as its vector, every other shape by one dense eigensolve."""
     if shape.is_diagonal:
-        diag = np.diagonal(mat)
+        diag = _diagonal(shape.name, v, d)
         return float(np.sum(diag ** (2 * q))), float(np.max(np.abs(diag)))
+    mat = _offdiagonal(shape.name, v, d) if shape.has_squares else _goe(key, d)
     eigs = np.linalg.eigvalsh(mat)
     return float(np.sum(eigs ** (2 * q))), float(np.max(np.abs(eigs)))
 
 
-def trace_moment_mc(
-    shape: Shape | str, d: int, m: int, q: int, trials: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of E tr((M_tau M_tau^T)^q) over fresh samples.
+def _trial_measures(
+    shapes: Sequence[Shape], d: int, m: int, q: int, trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The trial loop: tr((M M^T)^q) and ||M|| of each shape on each trial.
 
-    Returns (mean, standard error). Guarded to matrix dimension <= 2000.
+    Trial t is keyed by trial_seed(seed, t) and drawn once for all shapes:
+    the vector set sample_vectors(key, d, max(m, 1)) only if some shape has
+    square vertices, the goe matrix from the key alone. Returns two
+    len(shapes) x trials arrays, traces and norms.
     """
-    shape = _as_shape(shape)
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    dim = _matrix_dimension(shape, d, m)
-    if dim > 2000:
-        raise ValueError(f"matrix dimension {dim} exceeds the dense guard (2000)")
-    values = np.empty(trials)
+    traces = np.empty((len(shapes), trials))
+    norms = np.empty((len(shapes), trials))
+    reads_vectors = any(shape.has_squares for shape in shapes)
     for t in range(trials):
-        s = sampling.sample_vectors(sampling.trial_seed(seed, t), d, max(m, 1))
-        values[t], _ = _trace_and_norm(shape, s, q)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / trials**0.5) if trials > 1 else 0.0
-    return mean, stderr
+        key = sampling.trial_seed(seed, t)
+        v = sampling.sample_vectors(key, d, max(m, 1)).vectors if reads_vectors else None
+        for k, shape in enumerate(shapes):
+            traces[k, t], norms[k, t] = _trace_and_norm(shape, key, v, d, q)
+    return traces, norms
 
 
 @dataclass(frozen=True)
@@ -428,20 +448,12 @@ def verify_block_bound(
     (b) every realized spectral norm <= 1.2 * B.
     """
     shape = _as_shape(shape)
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     dim = _matrix_dimension(shape, d, m)
     if dim > 2000:
         raise ValueError(f"matrix dimension {dim} exceeds the dense guard (2000)")
     breakdown = block_value(shape, d, m, q, dv)
-    traces = np.empty(trials)
-    max_norm = 0.0
-    for t in range(trials):
-        s = sampling.sample_vectors(sampling.trial_seed(seed, t), d, max(m, 1))
-        traces[t], norm = _trace_and_norm(shape, s, q)
-        max_norm = max(max_norm, norm)
+    (traces,), (norms,) = _trial_measures((shape,), d, m, q, trials, seed)
+    max_norm = float(norms.max())
     mean = float(traces.mean())
     stderr = float(traces.std(ddof=1) / trials**0.5) if trials > 1 else 0.0
     trace_bound = dim * breakdown.total ** (2 * q)

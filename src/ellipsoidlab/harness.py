@@ -25,7 +25,7 @@ import numpy as np
 
 from . import construction, graphmat, neumann, sampling, spectral
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 
 DEFAULT_GRID_D = (40, 60, 100, 150)
 DEFAULT_GRID_RATIOS = (
@@ -769,31 +769,27 @@ def _asymptotic_norm_bound(name: str, d: int, m: int) -> float | None:
 
 
 def cmd_norms(args, stdout) -> int:
-    names = [args.shape] if args.shape else [s.name for s in graphmat.catalog()]
-    rows = []
-    for name in names:
-        shape = graphmat.get_shape(name)
-        m = args.m if args.m is not None else 1
+    shapes = ([graphmat.get_shape(args.shape)] if args.shape
+              else list(graphmat.catalog()))
+    for shape in shapes:
         if shape.has_squares and args.m is None:
-            raise UsageError(f"shape {name} requires --m")
-        norms = []
-        for t in range(args.trials):
-            s = sampling.sample_vectors(
-                sampling.trial_seed(args.seed, t), args.d, max(m, 1)
-            )
-            mat = graphmat.realize(shape, s)
-            if shape.is_diagonal:
-                norms.append(float(np.max(np.abs(np.diagonal(mat)))))
-            else:
-                norms.append(spectral.spectral_norm(mat).norm_estimate)
-        bound = graphmat.block_value(shape, args.d, m, args.q, args.dv).total
-        rows.append({
-            "shape": name, "d": args.d, "m": m, "trials": args.trials,
-            "mean_norm": float(np.mean(norms)),
-            "max_norm": float(np.max(norms)),
-            "asymptotic_bound": _asymptotic_norm_bound(name, args.d, m),
+            raise UsageError(f"shape {shape.name} requires --m")
+    m = args.m if args.m is not None else 1
+    bounds = [graphmat.block_value(shape, args.d, m, args.q, args.dv).total
+              for shape in shapes]
+    _traces, norms = graphmat._trial_measures(
+        shapes, args.d, m, args.q, args.trials, args.seed
+    )
+    rows = [
+        {
+            "shape": shape.name, "d": args.d, "m": m, "trials": args.trials,
+            "mean_norm": float(np.mean(shape_norms)),
+            "max_norm": float(np.max(shape_norms)),
+            "asymptotic_bound": _asymptotic_norm_bound(shape.name, args.d, m),
             "block_value_bound": bound,
-        })
+        }
+        for shape, shape_norms, bound in zip(shapes, norms, bounds)
+    ]
     for row in rows:
         ab = row["asymptotic_bound"]
         stdout.write(

@@ -1,5 +1,6 @@
 """Shape catalog, realization oracles, block-value rows, and MC verification."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,14 @@ def test_realize_matches_brute_oracles():
                        np.diag(oracles.brute_md3(v)), atol=1e-12)
     assert np.allclose(graphmat.realize("sumvv", s),
                        oracles.brute_sumvv(v), atol=1e-12)
+
+
+def test_realize_md2_matches_brute_oracle_relative():
+    # h4 by multiplication against the oracle's x**4 - 6x^2/d + 3/d^2
+    s = sampling.sample_vectors(5, 40, 30)
+    want = oracles.brute_md2(s.vectors)
+    got = np.diagonal(graphmat.realize("md2", s))
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_realize_goe_uses_sample_seed():
@@ -271,29 +280,76 @@ def _expected_first_moment(name: str, d: int, m: int) -> float:
 def test_trace_mc_q1_matches_closed_forms():
     d, m = 30, 90
     for name in NAMES:
-        mean, se = graphmat.trace_moment_mc(name, d, m, 1, 400, 0)
+        rep = graphmat.verify_block_bound(name, d, m, 1, 400, 0)
         expect = _expected_first_moment(name, d, m)
-        assert se > 0
-        assert abs(mean - expect) <= 3 * se, (name, mean, expect, se)
+        assert rep.mc_stderr > 0
+        assert abs(rep.mc_mean - expect) <= 3 * rep.mc_stderr, (
+            name, rep.mc_mean, expect, rep.mc_stderr)
 
 
 def test_trace_mc_determinism_and_trivia():
-    a = graphmat.trace_moment_mc("md3", 20, 40, 2, 9, 5)
-    b = graphmat.trace_moment_mc("md3", 20, 40, 2, 9, 5)
+    a = graphmat.verify_block_bound("md3", 20, 40, 2, 9, 5)
+    b = graphmat.verify_block_bound("md3", 20, 40, 2, 9, 5)
     assert a == b
-    mean, se = graphmat.trace_moment_mc("goe", 10, 1, 1, 1, 0)
-    assert se == 0.0 and mean > 0
+    rep = graphmat.verify_block_bound("goe", 10, 1, 1, 1, 0)
+    assert rep.mc_stderr == 0.0 and rep.mc_mean > 0
 
 
 def test_trace_mc_guards():
     with pytest.raises(ValueError):
-        graphmat.trace_moment_mc("goe", 2001, 1, 1, 2, 0)
+        graphmat.verify_block_bound("goe", 2001, 1, 1, 2, 0)
     with pytest.raises(ValueError):
-        graphmat.trace_moment_mc("mbeta", 10, 2001, 1, 2, 0)
+        graphmat.verify_block_bound("mbeta", 10, 2001, 1, 2, 0)
     with pytest.raises(ValueError):
-        graphmat.trace_moment_mc("goe", 10, 1, 0, 2, 0)
+        graphmat.verify_block_bound("goe", 10, 1, 0, 2, 0)
     with pytest.raises(ValueError):
-        graphmat.trace_moment_mc("goe", 10, 1, 1, 0, 0)
+        graphmat.verify_block_bound("goe", 10, 1, 1, 0, 0)
+
+
+def test_goe_block_bound_draws_no_vectors(monkeypatch):
+    def no_vectors(*_args, **_kw):
+        raise AssertionError("the goe shape reads no vector set")
+
+    monkeypatch.setattr(sampling, "sample_vectors", no_vectors)
+    rep = graphmat.verify_block_bound("goe", 40, 1, 2, 3, 6)
+    assert rep.passed
+    traces = []
+    for t in range(3):
+        goe = sampling.sample_goe(sampling.trial_seed(6, t), 40, 1.0 / 40).entries
+        traces.append(oracles.brute_goe_trace(goe, 2))
+    assert rep.mc_mean == pytest.approx(np.mean(traces), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["md1", "md2", "md3"])
+def test_diagonal_shape_measures_match_dense_realization(name):
+    # the trial loop measures a diagonal shape from its vector; realize
+    # places the same vector on a dense diagonal
+    d, m, trials, seed = 15, 25, 4, 8
+    diags = [
+        np.diagonal(graphmat.realize(
+            name, sampling.sample_vectors(sampling.trial_seed(seed, t), d, m)))
+        for t in range(trials)
+    ]
+    for q in (2, 3):
+        rep = graphmat.verify_block_bound(name, d, m, q, trials, seed)
+        traces = [float(np.sum(diag ** (2 * q))) for diag in diags]
+        assert rep.mc_mean == float(np.mean(traces))
+        assert rep.mc_stderr == float(np.std(traces, ddof=1) / trials**0.5)
+        assert rep.max_norm == max(float(np.max(np.abs(diag))) for diag in diags)
+
+
+def test_malpha_block_bound_memory_peak():
+    # malpha's squared Gram is squared and reduced in place: at most two
+    # m x m arrays, plus the m x d vector sets, are live at once
+    m = 800
+    graphmat.verify_block_bound("malpha", 20, 40, 2, 2, 3)  # warm imports
+    tracemalloc.start()
+    try:
+        graphmat.verify_block_bound("malpha", 200, m, 2, 2, 3)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * m * m) <= 2.75
 
 
 def test_verify_block_bound_report_coherence():

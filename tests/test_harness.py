@@ -102,7 +102,7 @@ def test_fit_cli_json_deterministic():
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
-    assert payload["schema"] == "5"
+    assert payload["schema"] == "6"
     assert "wallMillis" not in out1
     assert set(payload["record"]) == set(harness.FIT_FIELDS)
 
@@ -122,7 +122,7 @@ def test_fit_cli_out_writes_both_formats(tmp_path):
     assert (tmp_path / "rep.json").exists()
     assert (tmp_path / "rep.csv").exists()
     on_disk = json.loads((tmp_path / "rep.json").read_text())
-    assert on_disk["schema"] == "5"
+    assert on_disk["schema"] == "6"
 
 
 def test_sweep_cli_out_single_format(tmp_path):
@@ -220,7 +220,7 @@ def test_sweep_cli_interrupt_exit_code(monkeypatch):
 
 def test_sweep_rates_track_feasibility_transition():
     report = harness.run_sweep([60], [1 / 200, 0.6], trials=8, seed=0)
-    assert report.schema == "5"
+    assert report.schema == "6"
     easy, hard = report.cells
     assert easy.m == 18 and hard.m == 2160
     assert easy.feasibility_rate >= 0.9
@@ -416,6 +416,21 @@ def test_norms_cli_all_shapes():
     assert code == 0
     for name in ("goe", "malpha", "mbeta", "md1", "md2", "md3", "sumvv"):
         assert name in out
+
+
+def test_norms_cli_draws_each_trial_once(monkeypatch):
+    calls = []
+    draw = sampling.sample_vectors
+
+    def counted(seed, d, m):
+        calls.append(seed)
+        return draw(seed, d, m)
+
+    monkeypatch.setattr(sampling, "sample_vectors", counted)
+    code, _ = run_cli(["norms", "--d", "20", "--m", "30", "--trials", "3",
+                       "--seed", "4"])
+    assert code == 0
+    assert calls == [sampling.trial_seed(4, t) for t in range(3)]
 
 
 def test_norms_cli_requires_m_for_square_shapes(capsys):

@@ -57,6 +57,25 @@ def test_scaled_matches_rescaled_monic():
             assert np.allclose(got, expect, rtol=1e-10, atol=1e-14)
 
 
+def _exact_scaled(t: int, x: Fraction, d: int) -> Fraction:
+    inv = Fraction(1, d)
+    return (x, x * x - inv, x**3 - 3 * inv * x,
+            x**4 - 6 * inv * x * x + 3 * inv * inv)[t - 1]
+
+
+def test_scaled_matches_exact_rational_values():
+    # points x sqrt(d) at least 0.2 from every root of He_1..He_4, where
+    # cancellation stays mild
+    points = (-3.7, -2.9, -1.3, -0.45, 0.3, 1.2, 2.6, 4.1)
+    for d in (1, 7, 200):
+        for t in (1, 2, 3, 4):
+            for z in points:
+                x = z / math.sqrt(d)
+                want = float(_exact_scaled(t, Fraction(x), d))
+                got = hermite.hermite_scaled_eval(t, x, d)
+                assert abs(got - want) <= 1e-13 * abs(want), (d, t, z, got, want)
+
+
 def test_scaled_scalar_and_validation():
     assert isinstance(hermite.hermite_scaled_eval(2, 0.5, 4), float)
     with pytest.raises(ValueError):
