@@ -18,6 +18,12 @@ c1 A^{-1} eta + c2 A^{-1} 1 follows from the two solves against A by the
 Woodbury identity. M itself is never factored. The factor is a float32
 Cholesky factor whose solves are refined to float64 accuracy against the
 float64 A; float64 pivoted LU is the fallback when that fails.
+
+A is symmetric, and only its upper triangle is built and kept: dsyrk
+writes one triangle of the Gram, the pass that squares it and subtracts B
+covers that triangle, and spotrf and dsymv read only it. Everything else
+reads A through `Decomposition.apply_a` and `diag_a`; the full matrix is
+assembled only on access to `Decomposition.A`.
 """
 from __future__ import annotations
 
@@ -47,8 +53,12 @@ class IllConditionedWarning(UserWarning):
 
 _COND_THRESHOLD = 1e8
 _RESIDUAL_TOL = 1e-8
-# rows per step of the pass that builds A, so no m x m temporary
-_BLOCK_ROWS = 128
+# rows per step of the passes over A's triangle, so no m x m temporary;
+# at m ~ 3000, 32 float64 rows and their temporary stay in a 2 MB L2 cache
+# and ran faster than 128
+_BLOCK_ROWS = 32
+# the strictly lower part of a diagonal block, which the triangle leaves out
+_BELOW = np.tri(_BLOCK_ROWS, k=-1, dtype=bool)
 # LAPACK DSPOSV's cap on refinement steps before it falls back to float64
 _MAX_REFINE = 30
 
@@ -71,17 +81,26 @@ def _solve32(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _residual(a_mat: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b - A x in float64, by dsymv: A is symmetric and dsymv reads one
-    triangle of it, half the memory traffic of a general product."""
+def _symv(a_upper: np.ndarray, x: np.ndarray, alpha: float = 1.0,
+          y: np.ndarray | None = None) -> np.ndarray:
+    """alpha A x (+ y) by dsymv, reading only A's upper triangle: half the
+    memory traffic of a general product."""
+    # a_upper.T is the Fortran-ordered view, whose lower triangle is A's
+    # upper one, so f2py copies nothing
+    if y is None:
+        return blas.dsymv(alpha, a_upper.T, x, lower=1)
+    return blas.dsymv(alpha, a_upper.T, x, beta=1.0, y=y, lower=1)
+
+
+def _residual(a_upper: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - A x in float64, column by column."""
     r = np.empty(b.shape)
     for x_col, b_col, r_col in zip(_columns(x), _columns(b), _columns(r)):
-        # a_mat.T is the Fortran-ordered view, so f2py copies nothing
-        r_col[:] = blas.dsymv(-1.0, a_mat.T, x_col, beta=1.0, y=b_col, lower=1)
+        r_col[:] = _symv(a_upper, x_col, -1.0, b_col)
     return r
 
 
-def _refined_solve(a_mat: np.ndarray, c: np.ndarray, a_norm1: float, b: np.ndarray):
+def _refined_solve(a_upper: np.ndarray, c: np.ndarray, a_norm1: float, b: np.ndarray):
     """Solve A x = b with A's float32 Cholesky factor c, refined in float64.
 
     Each step adds the correction solved from the float64 residual b - A x.
@@ -92,41 +111,65 @@ def _refined_solve(a_mat: np.ndarray, c: np.ndarray, a_norm1: float, b: np.ndarr
     a float64 direct solve. Returns (x, b - A x, steps), or None when the
     rule is not met within _MAX_REFINE steps.
     """
-    bound = np.sqrt(a_mat.shape[0]) * np.finfo(np.float64).eps * a_norm1
+    bound = np.sqrt(a_upper.shape[0]) * np.finfo(np.float64).eps * a_norm1
     x = _solve32(c, b)
-    residual = _residual(a_mat, x, b)
+    residual = _residual(a_upper, x, b)
     for steps in range(1, _MAX_REFINE + 1):
         met = np.all(np.abs(residual).max(axis=0) <= bound * np.abs(x).max(axis=0))
         x += _solve32(c, residual)
-        residual = _residual(a_mat, x, b)
+        residual = _residual(a_upper, x, b)
         if met:
             return x, residual, steps
     return None
 
 
 def _build_a(v: np.ndarray, eta: np.ndarray):
-    """A = squared Gram - B in float64, its float32 copy, and ||A||_1.
+    """A's upper triangle in float64, its float32 copy, and ||A||_1.
 
-    One m x m x d product, then one pass per block of _BLOCK_ROWS rows
-    squares the Gram entries, subtracts B's rows, takes the rows' absolute
-    sums and rounds the rows to float32, while the block is still in cache.
+    One dsyrk writes the Gram's upper triangle; the other one is not read.
+    Then one pass per block of _BLOCK_ROWS rows squares the block's entries
+    on and right of the diagonal, subtracts B's, adds their absolute values
+    to the row and column sums, and rounds them to float32, while the block
+    is still in cache. A is symmetric, so its column j's absolute sum is
+    that of the triangle's row j plus that of its column j, less |A_jj|.
     """
     m, d = v.shape
-    a_mat = v @ v.T
+    # dsyrk(v.T, trans=1) = v v^T, in Fortran order with the lower triangle
+    # written; its transpose is the C-ordered upper triangle. v.T is the
+    # Fortran-ordered view of v, so f2py copies nothing
+    a_upper = blas.dsyrk(1.0, v.T, trans=1, lower=1).T
     a32 = np.empty((m, m), dtype=np.float32)
-    # the one block-sized temporary: B's rows, then |A|'s rows
+    # the one block-sized temporary: B's entries, then |A|'s
     buf = np.empty((min(_BLOCK_ROWS, m), m))
-    a_norm1 = 0.0
+    row_sums = np.empty(m)
+    col_sums = np.zeros(m)
     for start in range(0, m, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block = a_mat[rows]
+        rows, cols = slice(start, start + _BLOCK_ROWS), slice(start, None)
+        block = a_upper[rows, cols]
+        height = len(block)
+        scratch = buf[:height, : m - start]
         np.multiply(block, block, out=block)  # now M[i,j] = <v_i,v_j>^2
-        block -= _b_rows(eta, rows, d, out=buf[: len(block)])
-        # A is symmetric, so its largest absolute row sum is its 1-norm
-        abs_rows = np.abs(block, out=buf[: len(block)])
-        a_norm1 = max(a_norm1, float(abs_rows.sum(axis=1).max()))
-        a32[rows] = block
-    return a_mat, a32, a_norm1
+        block -= _b_block(eta, rows, cols, d, out=scratch)
+        # the pass also covered the diagonal square's lower part; clear it
+        block[:, :height][_BELOW[:height, :height]] = 0.0
+        abs_block = np.abs(block, out=scratch)
+        row_sums[rows] = abs_block.sum(axis=1)
+        col_sums[cols] += abs_block.sum(axis=0)
+        a32[rows, cols] = block
+    a_norm1 = float((row_sums + col_sums - np.abs(np.diagonal(a_upper))).max())
+    return a_upper, a32, a_norm1
+
+
+def _mirror(a_upper: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle onto the lower one in place and return the
+    full symmetric A; block by block, so no m x m temporary."""
+    for start in range(0, len(a_upper), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(a_upper))
+        a_upper[stop:, start:stop] = a_upper[start:stop, stop:].T
+        square = a_upper[start:stop, start:stop]
+        below = _BELOW[: stop - start, : stop - start]
+        square[below] = square.T[below]
+    return a_upper
 
 
 def _factored_solver(v: np.ndarray, eta: np.ndarray, rhs: np.ndarray):
@@ -138,29 +181,31 @@ def _factored_solver(v: np.ndarray, eta: np.ndarray, rhs: np.ndarray):
     refinement misses its stopping rule, the float32 factor is dropped and
     A is factored by float64 pivoted LU instead.
 
-    Returns (A, ||A||_1, solve, cond_estimate, method, (x, rhs - A x,
-    refinement steps)). solve(b) applies A^{-1} with the same factor;
-    method is "mixed" or "lu". cond_estimate is 1/rcond from the LAPACK
-    1-norm estimator on the factor. The float32 copy of A is made here, so
-    that nothing else holds it when the fallback releases it.
+    Returns (A's upper triangle, ||A||_1, solve, cond_estimate, method,
+    (x, rhs - A x, refinement steps)). solve(b) applies A^{-1} with the same
+    factor; method is "mixed" or "lu". cond_estimate is 1/rcond from the
+    LAPACK 1-norm estimator on the factor. The float32 copy of A is made
+    here, so that nothing else holds it when the fallback releases it.
     """
-    a_mat, a32, a_norm1 = _build_a(v, eta)
-    # a32.T is the Fortran-ordered view of the symmetric copy, so spotrf
-    # factors it in place instead of copying it again
+    a_upper, a32, a_norm1 = _build_a(v, eta)
+    # a32.T is the Fortran-ordered view, whose lower triangle is A's upper
+    # one, so spotrf factors it in place instead of copying it again
     c, info = lapack.spotrf(a32.T, lower=1, overwrite_a=1, clean=0)
-    first = None if info else _refined_solve(a_mat, c, a_norm1, rhs)
+    first = None if info else _refined_solve(a_upper, c, a_norm1, rhs)
     if first is not None:
         rcond, _info = lapack.spocon(c, a_norm1, uplo="L")
         cond = float("inf") if rcond == 0 else 1.0 / float(rcond)
 
         def solve(b):
-            out = _refined_solve(a_mat, c, a_norm1, b)
+            out = _refined_solve(a_upper, c, a_norm1, b)
             if out is None:
                 raise SingularMatrixError("iterative refinement against A did not converge")
             return out[0]
 
-        return a_mat, a_norm1, solve, cond, "mixed", first
+        return a_upper, a_norm1, solve, cond, "mixed", first
     del a32, c  # released before LU's float64 copy of A
+    # LU reads the whole matrix; mirrored in place, the triangle stays valid
+    a_mat = _mirror(a_upper)
     with warnings.catch_warnings():
         # a singular U shows up in the residual check instead
         warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -184,12 +229,13 @@ def _check_solution(x, residual, b, what: str) -> None:
         )
 
 
-def _b_rows(eta: np.ndarray, rows: slice, d: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows of B = (1/d)(J + 1 eta^T + eta 1^T); exactly symmetric entries.
+def _b_block(eta: np.ndarray, rows: slice, cols: slice, d: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """A block of B = (1/d)(J + 1 eta^T + eta 1^T); exactly symmetric entries.
 
     Written into `out` when given, else into a new array.
     """
-    out = np.add(eta[rows, None], eta[None, :], out=out)
+    out = np.add(eta[rows, None], eta[None, cols], out=out)
     out += 1.0
     out /= d
     return out
@@ -199,12 +245,15 @@ def _b_rows(eta: np.ndarray, rows: slice, d: int, out: np.ndarray | None = None)
 class Decomposition:
     """A's factorization, the diagonal parts, and the Woodbury scalars.
 
-    The float64 A plus a float32 Cholesky factor of it (half an m x m
-    array) are the only m x m arrays held; on the LU fallback the factor is
-    a float64 LU. Diagonal parts (md, md1, md2, md3) are length-m vectors
-    holding the diagonals. M, Malpha, Mbeta and B are
-    computed on each access and not cached: M = A + B, Malpha and Mbeta
-    through `graphmat.realize` on the sample, B from eta (it is rank 2).
+    A's upper triangle, kept in a float64 m x m array, plus a float32
+    Cholesky factor of it (half an m x m array) are the only m x m arrays
+    held; on the LU fallback the array holds all of A (mirrored in place)
+    and the factor is a float64 LU. A is read through `apply_a` (dsymv on
+    the triangle) and `diag_a`. Diagonal parts (md, md1, md2, md3) are
+    length-m vectors holding the diagonals. A, M, Malpha, Mbeta and B are
+    computed on each access and not cached: A by mirroring a copy of the
+    triangle, M = A + B, Malpha and Mbeta through `graphmat.realize` on the
+    sample, B from eta (it is rank 2).
     """
 
     d: int
@@ -215,7 +264,7 @@ class Decomposition:
     md1: np.ndarray
     md2: np.ndarray
     md3: np.ndarray
-    A: np.ndarray  # m x m
+    _a_upper: np.ndarray = field(repr=False)  # m x m, A's upper triangle
     r: float
     s: float
     u: float
@@ -229,9 +278,23 @@ class Decomposition:
     _a_spectrum: spectral.SpectralReport | None = field(default=None, repr=False)
 
     @property
+    def A(self) -> np.ndarray:
+        """The full symmetric A, assembled on demand from the triangle."""
+        return _mirror(self._a_upper.copy())
+
+    @property
+    def diag_a(self) -> np.ndarray:
+        """A's diagonal, a read-only view of the stored triangle's."""
+        return np.diagonal(self._a_upper)
+
+    def apply_a(self, x: np.ndarray) -> np.ndarray:
+        """A x for a length-m vector x, by dsymv on the stored triangle."""
+        return _symv(self._a_upper, x)
+
+    @property
     def B(self) -> np.ndarray:
         """Rank-2 part (1/d)(J + 1 eta^T + eta 1^T), assembled on demand."""
-        return _b_rows(self.eta, slice(None), self.d)
+        return _b_block(self.eta, slice(None), slice(None), self.d)
 
     @property
     def M(self) -> np.ndarray:
@@ -291,10 +354,10 @@ class Candidate:
 def decompose(sample: SampleSet) -> Decomposition:
     """Build A, the diagonal parts, and the scalars r, s, u.
 
-    A comes from one product: the squared Gram, minus B row block by row
-    block. It is factored once; the scalars come from the solves for
-    A^{-1} 1 and A^{-1} eta, and failure of those solves raises
-    SingularMatrixError (callers mark the trial degenerate).
+    A's upper triangle comes from one product: the squared Gram's triangle,
+    minus B's, row block by row block. It is factored once; the scalars
+    come from the solves for A^{-1} 1 and A^{-1} eta, and failure of those
+    solves raises SingularMatrixError (callers mark the trial degenerate).
     """
     v = sample.vectors
     m, d = v.shape
@@ -310,7 +373,7 @@ def decompose(sample: SampleSet) -> Decomposition:
     del v2, h2  # m x d, released before A's pass holds its block temporary
 
     rhs = np.column_stack([np.ones(m), eta])
-    a_mat, a_norm1, solve_a, cond_a, solver, (x, residual, refine_steps) = (
+    a_upper, a_norm1, solve_a, cond_a, solver, (x, residual, refine_steps) = (
         _factored_solver(v, eta, rhs)
     )
     _check_solution(x, residual, rhs, "A")
@@ -329,7 +392,7 @@ def decompose(sample: SampleSet) -> Decomposition:
         md1=md1,
         md2=md2,
         md3=md3,
-        A=a_mat,
+        _a_upper=a_upper,
         r=r,
         s=s,
         u=u,
@@ -393,7 +456,7 @@ def solve_weights(dec: Decomposition, sample: SampleSet) -> Candidate:
             f"M condition estimate {cond_m:.3e} exceeds {_COND_THRESHOLD:.0e}",
             IllConditionedWarning,
         )
-    _check_solution(w, dec.A @ w + dec.apply_b(w) - eta, eta, "M")
+    _check_solution(w, dec.apply_a(w) + dec.apply_b(w) - eta, eta, "M")
     return _candidate_from_w(sample, w, cond_m)
 
 
@@ -422,12 +485,21 @@ def assemble_R_split(
 
     R1 uses weights c1 * T0(eta), R2 uses c2 * T0(1); the remainder is
     E_R = R - R1 - R2 with R from solve_weights. Pass a precomputed
-    candidate to reuse its R.
+    candidate to reuse its R. When T0 is dec.apply_ainv itself, T0(eta)
+    and T0(1) are the solves decompose already holds, so nothing is solved
+    again.
     """
     c1, c2 = _woodbury_coefficients(dec)
     v = sample.vectors
-    w1 = c1 * np.asarray(t0_apply(dec.eta.copy()))
-    w2 = c2 * np.asarray(t0_apply(np.ones(dec.m)))
+    # bound methods are equal when their functions are and their __self__
+    # is the same object
+    if t0_apply == dec.apply_ainv:
+        t0_eta, t0_one = dec.ainv_eta, dec.ainv_one
+    else:
+        t0_eta = np.asarray(t0_apply(dec.eta.copy()))
+        t0_one = np.asarray(t0_apply(np.ones(dec.m)))
+    w1 = c1 * t0_eta
+    w2 = c2 * t0_one
     r1 = (v * w1[:, None]).T @ v
     r2 = (v * w2[:, None]).T @ v
     if candidate is None:

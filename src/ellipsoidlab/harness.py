@@ -25,7 +25,7 @@ import numpy as np
 
 from . import construction, graphmat, neumann, sampling, spectral
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 
 DEFAULT_GRID_D = (40, 60, 100, 150)
 DEFAULT_GRID_RATIOS = (
@@ -403,7 +403,7 @@ def lemma_suite(
                 "lam_min": rep_a.lambda_min,
                 # lift of the top eigenvalue above the largest diagonal entry
                 "lam_max_excess": rep_a.lambda_max
-                - float(np.max(np.diagonal(dec.A))),
+                - float(np.max(dec.diag_a)),
                 "eta_ratio": float(dec.eta @ dec.eta) / (2 * m / d),
                 "r_ratio": dec.r / (m / d),
                 "u": dec.u,

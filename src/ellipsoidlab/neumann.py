@@ -45,7 +45,8 @@ def _check_convergent(dec: Decomposition) -> None:
 def neumann_apply(dec: Decomposition, x: np.ndarray, k: int) -> np.ndarray:
     """Apply the degree-k partial sum sum_{j<=k} T^j to x by Horner recursion.
 
-    Each step costs one A matvec: T y = y - A y. Never forms any power of T.
+    Each step costs one A matvec (dsymv on A's stored triangle): T y = y - A y.
+    Never forms any power of T.
     """
     if k < 0:
         raise ValueError(f"truncation degree must be >= 0, got {k}")
@@ -53,7 +54,7 @@ def neumann_apply(dec: Decomposition, x: np.ndarray, k: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = x.copy()
     for _ in range(k):
-        y = x + (y - dec.A @ y)
+        y = x + (y - dec.apply_a(y))
     return y
 
 

@@ -96,6 +96,37 @@ def test_decomposition_identities_fuzz():
             seed += 1
 
 
+# m = 31 is below the pass's block height of 32; 33, 70 and 1000 are not
+# multiples of it
+_TRIANGLE_SIZES = [(2, 20, 31), (3, 12, 33), (4, 30, 70), (1, 60, 1000)]
+
+
+def _direct_a(dec) -> np.ndarray:
+    """A = squared Gram - B from numpy's full Gram, B's entries added in the
+    order decompose adds them."""
+    gram = dec.sample.vectors @ dec.sample.vectors.T
+    eta = dec.eta
+    return gram * gram - (eta[:, None] + eta[None, :] + 1.0) / dec.d
+
+
+@pytest.mark.parametrize("seed, d, m", _TRIANGLE_SIZES)
+def test_a_read_from_triangle_matches_direct_formula(seed, d, m):
+    dec = construction.decompose(_sample(seed, d, m))
+    a_mat = dec.A
+    assert np.array_equal(a_mat, _direct_a(dec))
+    assert np.array_equal(dec.diag_a, np.diagonal(a_mat))
+    x = np.random.default_rng(seed).standard_normal(m)
+    want = a_mat @ x
+    assert np.allclose(dec.apply_a(x), want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+# at m in the thousands the reference's own sums round by ~1e-15 relative
+@pytest.mark.parametrize("seed, d, m", _TRIANGLE_SIZES[:3])
+def test_a_norm1_from_triangle_sums(seed, d, m):
+    dec = construction.decompose(_sample(seed, d, m))
+    assert dec.a_norm1 == pytest.approx(float(np.abs(dec.A).sum(axis=0).max()), rel=1e-15)
+
+
 def test_symmetry_and_zero_diagonals():
     dec = construction.decompose(_sample(3, 30, 90))
     for mat in (dec.M, dec.A, dec.malpha, dec.mbeta, dec.B):
@@ -165,8 +196,8 @@ def _fit_peak_arrays(s: sampling.SampleSet):
 
 
 def test_fit_memory_peak_within_budget():
-    # one draw holds the float64 A and its float32 factor: ~1.64 m x m
-    # float64 arrays
+    # one draw holds the float64 array with A's triangle and its float32
+    # factor: ~1.58 m x m float64 arrays
     _dec, _cand, peak = _fit_peak_arrays(_sample(1, 60, 1000))
     assert peak <= 1.75
 
@@ -232,6 +263,8 @@ def test_lu_fallback_passes_checks_within_memory_budget(monkeypatch, failure):
     s = _sample(1, 60, 1000)
     dec, cand, peak = _fit_peak_arrays(s)
     assert dec.solver == "lu"
+    # LU read the triangle mirrored in place
+    assert np.array_equal(dec.A, _direct_a(dec))
     rhs = np.column_stack([np.ones(s.m), dec.eta])
     x = np.column_stack([dec.ainv_one, dec.ainv_eta])
     construction._check_solution(x, dec.A @ x - rhs, rhs, "A")
@@ -297,6 +330,30 @@ def test_split_exact_inverse_recovers_perturbation():
         r1, r2, er = construction.assemble_R_split(dec, s, dec.apply_ainv, cand)
         assert spectral.spectral_norm(er).norm_estimate <= 1e-9
         assert np.allclose(r1 + r2 + er, cand.R, atol=1e-12)
+
+
+def test_split_with_apply_ainv_solves_nothing_again(monkeypatch):
+    calls = []
+    refined_solve = construction._refined_solve
+
+    def counted(*args):
+        calls.append(args)
+        return refined_solve(*args)
+
+    monkeypatch.setattr(construction, "_refined_solve", counted)
+    s = _sample(0, 50, 100)
+    dec = construction.decompose(s)
+    assert len(calls) == 1  # A X = [1, eta], both columns at once
+    cand = construction.solve_weights(dec, s)
+    r1, r2, er = construction.assemble_R_split(dec, s, dec.apply_ainv, cand)
+    assert len(calls) == 1
+    assert spectral.spectral_norm(er).norm_estimate <= 1e-9
+    # any other callable is applied to eta and to 1, one solve each
+    w_r1, w_r2, _er = construction.assemble_R_split(
+        dec, s, lambda x: dec.apply_ainv(x), cand)
+    assert len(calls) == 3
+    assert np.allclose(r1, w_r1, rtol=0, atol=1e-12 * np.abs(r1).max())
+    assert np.allclose(r2, w_r2, rtol=0, atol=1e-12 * np.abs(r2).max())
 
 
 def test_split_recomputes_candidate_when_omitted():

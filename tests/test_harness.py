@@ -102,7 +102,7 @@ def test_fit_cli_json_deterministic():
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
-    assert payload["schema"] == "6"
+    assert payload["schema"] == "7"
     assert "wallMillis" not in out1
     assert set(payload["record"]) == set(harness.FIT_FIELDS)
 
@@ -122,7 +122,7 @@ def test_fit_cli_out_writes_both_formats(tmp_path):
     assert (tmp_path / "rep.json").exists()
     assert (tmp_path / "rep.csv").exists()
     on_disk = json.loads((tmp_path / "rep.json").read_text())
-    assert on_disk["schema"] == "6"
+    assert on_disk["schema"] == "7"
 
 
 def test_sweep_cli_out_single_format(tmp_path):
@@ -220,7 +220,7 @@ def test_sweep_cli_interrupt_exit_code(monkeypatch):
 
 def test_sweep_rates_track_feasibility_transition():
     report = harness.run_sweep([60], [1 / 200, 0.6], trials=8, seed=0)
-    assert report.schema == "6"
+    assert report.schema == "7"
     easy, hard = report.cells
     assert easy.m == 18 and hard.m == 2160
     assert easy.feasibility_rate >= 0.9
