@@ -288,8 +288,13 @@ class Decomposition:
         return np.diagonal(self._a_upper)
 
     def apply_a(self, x: np.ndarray) -> np.ndarray:
-        """A x for a length-m vector x, by dsymv on the stored triangle."""
-        return _symv(self._a_upper, x)
+        """A x for a length-m vector or an m x k array x, by dsymv on the
+        stored triangle, column by column."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        for x_col, out_col in zip(_columns(x), _columns(out)):
+            out_col[:] = _symv(self._a_upper, x_col)
+        return out
 
     @property
     def B(self) -> np.ndarray:
@@ -330,7 +335,11 @@ class Decomposition:
     def a_spectrum(self) -> spectral.SpectralReport:
         """Extreme eigenvalues of A, from one eigensolve (cached)."""
         if self._a_spectrum is None:
-            self._a_spectrum = spectral.spectral_norm(self.A)
+            # eigvalsh reads the lower triangle, and that of the stored
+            # array's transpose is A's; A is symmetric by construction, so
+            # neither a mirrored copy nor a symmetry check is needed
+            eigs = np.linalg.eigvalsh(self._a_upper.T)
+            self._a_spectrum = spectral.from_eigenvalues(eigs)
         return self._a_spectrum
 
     @property
@@ -485,21 +494,12 @@ def assemble_R_split(
 
     R1 uses weights c1 * T0(eta), R2 uses c2 * T0(1); the remainder is
     E_R = R - R1 - R2 with R from solve_weights. Pass a precomputed
-    candidate to reuse its R. When T0 is dec.apply_ainv itself, T0(eta)
-    and T0(1) are the solves decompose already holds, so nothing is solved
-    again.
+    candidate to reuse its R.
     """
     c1, c2 = _woodbury_coefficients(dec)
     v = sample.vectors
-    # bound methods are equal when their functions are and their __self__
-    # is the same object
-    if t0_apply == dec.apply_ainv:
-        t0_eta, t0_one = dec.ainv_eta, dec.ainv_one
-    else:
-        t0_eta = np.asarray(t0_apply(dec.eta.copy()))
-        t0_one = np.asarray(t0_apply(np.ones(dec.m)))
-    w1 = c1 * t0_eta
-    w2 = c2 * t0_one
+    w1 = c1 * np.asarray(t0_apply(dec.eta.copy()))
+    w2 = c2 * np.asarray(t0_apply(np.ones(dec.m)))
     r1 = (v * w1[:, None]).T @ v
     r2 = (v * w2[:, None]).T @ v
     if candidate is None:

@@ -74,6 +74,14 @@ def test_apply_matches_dense_partial_sum(dec48):
     assert np.allclose(got, want, atol=1e-10 * np.linalg.norm(x))
 
 
+def test_apply_to_block_matches_column_by_column(dec48):
+    x = np.random.default_rng(1).standard_normal((800, 2))
+    got = neumann.neumann_apply(dec48, x, 4)
+    assert got.shape == x.shape
+    for j in range(2):
+        assert np.array_equal(got[:, j], neumann.neumann_apply(dec48, x[:, j], 4))
+
+
 # ---------------------------------------------------------------------------
 # split-residual decay at a size where the series barely converges
 
