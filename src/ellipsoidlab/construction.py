@@ -339,7 +339,7 @@ class Decomposition:
             # array's transpose is A's; A is symmetric by construction, so
             # neither a mirrored copy nor a symmetry check is needed
             eigs = np.linalg.eigvalsh(self._a_upper.T)
-            self._a_spectrum = spectral.from_eigenvalues(eigs)
+            self._a_spectrum = spectral.SpectralReport.from_eigenvalues(eigs)
         return self._a_spectrum
 
     @property

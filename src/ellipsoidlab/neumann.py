@@ -45,7 +45,8 @@ def _check_convergent(dec: Decomposition) -> None:
 def neumann_apply(dec: Decomposition, x: np.ndarray, k: int) -> np.ndarray:
     """Apply the degree-k partial sum sum_{j<=k} T^j to x by Horner recursion.
 
-    x is a length-m vector or an m x k array of them.
+    x is a length-m vector or an m x n block of them, taken column by
+    column.
 
     Each step costs one A matvec (dsymv on A's stored triangle): T y = y - A y.
     Never forms any power of T.

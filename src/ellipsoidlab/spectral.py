@@ -17,6 +17,17 @@ class SpectralReport:
     lambda_min: float
     lambda_max: float
 
+    @classmethod
+    def from_eigenvalues(cls, eigs: np.ndarray) -> "SpectralReport":
+        """The report of a symmetric matrix from its eigenvalues in
+        ascending order, as `numpy.linalg.eigvalsh` returns them."""
+        lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+        return cls(
+            norm_estimate=max(abs(lam_min), abs(lam_max)),
+            lambda_min=lam_min,
+            lambda_max=lam_max,
+        )
+
 
 def spectral_norm(msym: np.ndarray) -> SpectralReport:
     """Norm and extreme eigenvalues of a symmetric matrix."""
@@ -29,20 +40,7 @@ def spectral_norm(msym: np.ndarray) -> SpectralReport:
     asym = float(np.max(np.abs(msym - msym.T)))
     if asym > 1e-10 * max(1.0, scale):
         raise ValueError(f"matrix not symmetric: max asymmetry {asym:.3e}")
-    return from_eigenvalues(np.linalg.eigvalsh(msym))
-
-
-def from_eigenvalues(eigs: np.ndarray) -> SpectralReport:
-    """The report of a symmetric matrix from its eigenvalues in ascending
-    order, as `numpy.linalg.eigvalsh` returns them."""
-    if len(eigs) == 0:
-        return SpectralReport(0.0, 0.0, 0.0)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    return SpectralReport(
-        norm_estimate=max(abs(lam_min), abs(lam_max)),
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-    )
+    return SpectralReport.from_eigenvalues(np.linalg.eigvalsh(msym))
 
 
 def psd_check(msym: np.ndarray, slack: float | None = None) -> bool:
