@@ -21,9 +21,10 @@ float64 A; float64 pivoted LU is the fallback when that fails.
 
 A is symmetric, and only its upper triangle is built and kept: dsyrk
 writes one triangle of the Gram, the pass that squares it and subtracts B
-covers that triangle, and spotrf and dsymv read only it. Everything else
-reads A through `Decomposition.apply_a` and `diag_a`; the full matrix is
-assembled only on access to `Decomposition.A`.
+covers that triangle, and spotrf, dsymv and eigvalsh read only it.
+Everything else reads A through `Decomposition.apply_a`, `diag_a` and
+`a_spectrum`; the full matrix is assembled only on access to
+`Decomposition.A`.
 """
 from __future__ import annotations
 
@@ -249,8 +250,9 @@ class Decomposition:
     Cholesky factor of it (half an m x m array) are the only m x m arrays
     held; on the LU fallback the array holds all of A (mirrored in place)
     and the factor is a float64 LU. A is read through `apply_a` (dsymv on
-    the triangle) and `diag_a`. Diagonal parts (md, md1, md2, md3) are
-    length-m vectors holding the diagonals. A, M, Malpha, Mbeta and B are
+    the triangle), `diag_a` and `a_spectrum` (eigvalsh on the triangle).
+    Diagonal parts (md, md1, md2, md3) are length-m vectors holding the
+    diagonals. A, M, Malpha, Mbeta and B are
     computed on each access and not cached: A by mirroring a copy of the
     triangle, M = A + B, Malpha and Mbeta through `graphmat.realize` on the
     sample, B from eta (it is rank 2).
