@@ -37,6 +37,7 @@ import scipy.linalg as sla
 from scipy.linalg import blas, lapack
 
 from . import graphmat, spectral
+from .graphmat import _BELOW, _BLOCK_ROWS, _mirror
 from .sampling import SampleSet
 
 
@@ -54,12 +55,6 @@ class IllConditionedWarning(UserWarning):
 
 _COND_THRESHOLD = 1e8
 _RESIDUAL_TOL = 1e-8
-# rows per step of the passes over A's triangle, so no m x m temporary;
-# at m ~ 3000, 32 float64 rows and their temporary stay in a 2 MB L2 cache
-# and ran faster than 128
-_BLOCK_ROWS = 32
-# the strictly lower part of a diagonal block, which the triangle leaves out
-_BELOW = np.tri(_BLOCK_ROWS, k=-1, dtype=bool)
 # LAPACK DSPOSV's cap on refinement steps before it falls back to float64
 _MAX_REFINE = 30
 
@@ -159,18 +154,6 @@ def _build_a(v: np.ndarray, eta: np.ndarray):
         a32[rows, cols] = block
     a_norm1 = float((row_sums + col_sums - np.abs(np.diagonal(a_upper))).max())
     return a_upper, a32, a_norm1
-
-
-def _mirror(a_upper: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one in place and return the
-    full symmetric A; block by block, so no m x m temporary."""
-    for start in range(0, len(a_upper), _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, len(a_upper))
-        a_upper[stop:, start:stop] = a_upper[start:stop, stop:].T
-        square = a_upper[start:stop, start:stop]
-        below = _BELOW[: stop - start, : stop - start]
-        square[below] = square.T[below]
-    return a_upper
 
 
 def _factored_solver(v: np.ndarray, eta: np.ndarray, rhs: np.ndarray):

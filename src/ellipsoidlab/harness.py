@@ -25,7 +25,7 @@ import numpy as np
 
 from . import construction, graphmat, neumann, sampling, spectral
 
-SCHEMA_VERSION = "7"
+SCHEMA_VERSION = "8"
 
 DEFAULT_GRID_D = (40, 60, 100, 150)
 DEFAULT_GRID_RATIOS = (
@@ -37,8 +37,9 @@ DEFAULT_LEMMA_SIZES = ((500, 2500), (400, 1600))
 #: ~1.6 with the float32 Cholesky factor, ~2.1 on the float64 LU fallback,
 #: with room for the smaller temporaries)
 TRIAL_ARRAYS = 2.5
-#: ThreadPoolExecutor's default worker count, used for --threads 0
-_AUTO_WORKERS = min(32, (os.cpu_count() or 1) + 4)
+#: worker count for --threads 0: one per core this process may run on
+_AUTO_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
 
 
 class UsageError(Exception):
@@ -134,9 +135,9 @@ def _run_trials(
     """Run worker(trialIndex) for each index, merging by index order."""
     if trials <= 0:
         return []
-    if threads == 1:
+    max_workers = threads if threads > 0 else _AUTO_WORKERS
+    if max_workers == 1:
         return [worker(t) for t in range(trials)]
-    max_workers = threads if threads > 0 else None
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(worker, range(trials)))
 
@@ -855,7 +856,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default=None,
                      help="restrict output to one format")
     sub.add_argument("--threads", type=int, default=0,
-                     help="worker threads; 0 = auto (results identical)")
+                     help="worker threads; 0 = one per usable core "
+                     "(results identical)")
 
 
 def build_parser() -> argparse.ArgumentParser:

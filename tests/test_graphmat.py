@@ -104,6 +104,24 @@ def test_realize_matches_brute_oracles():
                        oracles.brute_sumvv(v), atol=1e-12)
 
 
+@pytest.mark.parametrize("d,m", [(9, 6), (4, 11), (7, 7)])
+def test_offdiagonal_triangle_and_mirror_match_brute_oracles(d, m):
+    # one lower triangle per shape, mirrored in place, is the whole matrix;
+    # (9, 6) has m < d
+    v = sampling.sample_vectors(d + m, d, m).vectors
+    for name, brute in (("malpha", oracles.brute_malpha),
+                        ("mbeta", oracles.brute_mbeta),
+                        ("sumvv", oracles.brute_sumvv)):
+        lower = graphmat._offdiagonal_lower(name, v, d)
+        assert lower.flags.f_contiguous
+        full = graphmat._mirror(lower.T)
+        assert np.shares_memory(full, lower)
+        assert np.array_equal(full, full.T)
+        assert np.allclose(full, brute(v), rtol=0.0, atol=1e-13), name
+        assert np.array_equal(graphmat.realize(name, sampling.SampleSet(0, d, m, v)),
+                              full)
+
+
 def test_realize_md2_matches_brute_oracle_relative():
     # h4 by multiplication against the oracle's x**4 - 6x^2/d + 3/d^2
     s = sampling.sample_vectors(5, 40, 30)
@@ -338,18 +356,46 @@ def test_diagonal_shape_measures_match_dense_realization(name):
         assert rep.max_norm == max(float(np.max(np.abs(diag))) for diag in diags)
 
 
-def test_malpha_block_bound_memory_peak():
-    # malpha's squared Gram is squared and reduced in place: at most two
-    # m x m arrays, plus the m x d vector sets, are live at once
+@pytest.mark.parametrize("name", ["goe", "malpha", "mbeta", "sumvv"])
+def test_trial_measures_match_dense_eigensolve_of_realization(name):
+    # the in-place eigensolve of the stored triangle gives the spectrum of
+    # the full realized matrix
+    d, m, trials, seed = 12, 30, 3, 11
+    shape = graphmat.get_shape(name)
+    eigs = [
+        np.linalg.eigvalsh(graphmat.realize(
+            shape, sampling.sample_vectors(sampling.trial_seed(seed, t), d, m)))
+        for t in range(trials)
+    ]
+    for q in (1, 3):
+        (traces,), (norms,) = graphmat._trial_measures((shape,), d, m, q, trials, seed)
+        for t, e in enumerate(eigs):
+            assert traces[t] == pytest.approx(float(np.sum(e ** (2 * q))), rel=1e-12)
+            assert norms[t] == pytest.approx(float(np.max(np.abs(e))), rel=1e-12)
+
+
+def _block_bound_peak_arrays(name: str) -> float:
+    # tracemalloc peak of a verify_block_bound call, in m x m float64 arrays
     m = 800
-    graphmat.verify_block_bound("malpha", 20, 40, 2, 2, 3)  # warm imports
+    graphmat.verify_block_bound(name, 20, 40, 2, 2, 3)  # warm imports
     tracemalloc.start()
     try:
-        graphmat.verify_block_bound("malpha", 200, m, 2, 2, 3)
+        graphmat.verify_block_bound(name, 200, m, 2, 2, 3)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (8 * m * m) <= 2.75
+    return peak / (8 * m * m)
+
+
+def test_malpha_block_bound_memory_peak():
+    # each trial's matrix is one m x m triangle, eigensolved in place: one
+    # such array, plus the m x d vector set and one m x d temporary, is live
+    # at once
+    assert _block_bound_peak_arrays("malpha") <= 1.6
+
+
+def test_mbeta_block_bound_memory_peak():
+    assert _block_bound_peak_arrays("mbeta") <= 1.6
 
 
 def test_verify_block_bound_report_coherence():

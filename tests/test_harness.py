@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,7 @@ def test_fit_cli_json_deterministic():
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
-    assert payload["schema"] == "7"
+    assert payload["schema"] == "8"
     assert "wallMillis" not in out1
     assert set(payload["record"]) == set(harness.FIT_FIELDS)
 
@@ -122,7 +123,7 @@ def test_fit_cli_out_writes_both_formats(tmp_path):
     assert (tmp_path / "rep.json").exists()
     assert (tmp_path / "rep.csv").exists()
     on_disk = json.loads((tmp_path / "rep.json").read_text())
-    assert on_disk["schema"] == "7"
+    assert on_disk["schema"] == "8"
 
 
 def test_sweep_cli_out_single_format(tmp_path):
@@ -220,7 +221,7 @@ def test_sweep_cli_interrupt_exit_code(monkeypatch):
 
 def test_sweep_rates_track_feasibility_transition():
     report = harness.run_sweep([60], [1 / 200, 0.6], trials=8, seed=0)
-    assert report.schema == "7"
+    assert report.schema == "8"
     easy, hard = report.cells
     assert easy.m == 18 and hard.m == 2160
     assert easy.feasibility_rate >= 0.9
@@ -237,6 +238,25 @@ def test_sweep_threads_byte_identical():
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_auto_threads_start_one_worker_per_usable_core():
+    cores = len(os.sched_getaffinity(0))
+    assert harness._AUTO_WORKERS == cores
+    # the first `cores` trials wait for each other, so they run on `cores`
+    # distinct threads at once; no trial may run on a thread beyond those
+    barrier = threading.Barrier(cores, timeout=30)
+    seen = set()
+
+    def worker(t):
+        seen.add(threading.get_ident())
+        if t < cores:
+            barrier.wait()
+        return t
+
+    assert harness._run_trials(worker, 4 * cores, 0) == list(range(4 * cores))
+    assert len(seen) == cores
+    assert harness.cell_workers(10, 0.1, 10, 50, 0) == cores
 
 
 def test_sweep_validation():
@@ -275,6 +295,8 @@ def test_sweep_memory_guard_rejects_cell_before_any_trial(monkeypatch, capsys):
 
 
 def test_sweep_memory_guard_auto_threads_fit_memory(monkeypatch):
+    # memory, not the core count, sets the worker count here
+    monkeypatch.setattr(harness, "_AUTO_WORKERS", 4)
     monkeypatch.setattr(harness, "physical_memory", lambda: 7 * 10**9)
     assert harness.cell_workers(150, 0.5, 11250, 50, 0) == 2
     assert harness.cell_workers(150, 0.5, 11250, 1, 0) == 1
