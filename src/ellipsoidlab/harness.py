@@ -1,6 +1,6 @@
 """Experiment orchestration and command line interface.
 
-Subcommands: fit, sweep, verify-lemmas, block-value, trace-mc, norms.
+Subcommands: fit, sweep, verify-lemmas, block-value, norms.
 Reports are deterministic: per-trial seeds derive from the base seed XOR the
 trial index, aggregation is order-independent, and serialized output never
 includes wall-clock time, so identical flags give byte-identical bytes at
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import construction, graphmat, neumann, sampling, spectral
 
-SCHEMA_VERSION = "8"
+SCHEMA_VERSION = "9"
 
 DEFAULT_GRID_D = (40, 60, 100, 150)
 DEFAULT_GRID_RATIOS = (
@@ -370,6 +370,17 @@ def mbeta_norm_prediction(d: int, m: int) -> float:
     return 2.0 / d**2 * (math.sqrt(m) + math.sqrt(d)) ** 2 - 2.0 / d
 
 
+def _symmetric_norm(msym: np.ndarray) -> float:
+    """Spectral norm of a matrix symmetric by construction, unchecked.
+
+    numpy's eigvalsh, not graphmat's in-place scipy one: at lemma sizes
+    numpy's releases the GIL and scipy's holds it, which would serialize
+    verify-lemmas' thread pool.
+    """
+    return spectral.SpectralReport.from_eigenvalues(
+        np.linalg.eigvalsh(msym)).norm_estimate
+
+
 def lemma_suite(
     seed: int = 0,
     trials: int = 50,
@@ -415,12 +426,12 @@ def lemma_suite(
             }
             if quick:
                 return out
-            out["mbeta_ratio"] = spectral.spectral_norm(
-                dec.mbeta
-            ).norm_estimate / mbeta_norm_prediction(d, m)
-            out["malpha_ratio"] = spectral.spectral_norm(
-                dec.malpha
-            ).norm_estimate / ((3 * d * math.sqrt(m) + 2 * m) / d**2)
+            # realize mirrors both parts exactly, so their norms need no
+            # symmetry check and no temporaries beyond the realized matrix
+            out["mbeta_ratio"] = _symmetric_norm(
+                dec.mbeta) / mbeta_norm_prediction(d, m)
+            out["malpha_ratio"] = _symmetric_norm(
+                dec.malpha) / ((3 * d * math.sqrt(m) + 2 * m) / d**2)
             out["t_norm"] = dec.t_norm_est
             out["sumvv_ratio"] = spectral.spectral_norm(
                 s.vectors.T @ s.vectors
@@ -700,56 +711,31 @@ def cmd_block_value(args, stdout) -> int:
             f"{row.edge_factor!r} {row.product!r}\n"
         )
     stdout.write(f"total {breakdown.total!r}\n")
+    payload = {"schema": SCHEMA_VERSION, "command": "block-value",
+               "breakdown": {
+                   "shape": breakdown.shape_name, "d": breakdown.d,
+                   "m": breakdown.m, "q": breakdown.q, "dv": breakdown.dv,
+                   "total": breakdown.total,
+                   "candidates": breakdown.candidates,
+                   "rows": breakdown.rows,
+               }}
     if args.verify:
         rep = graphmat.verify_block_bound(
             shape, args.d, m, args.q, args.trials, args.seed, args.dv
+        )
+        stdout.write(
+            f"trials={rep.trials} dimension={rep.dimension} "
+            f"trace mc mean {rep.mc_mean!r} stderr {rep.mc_stderr!r}\n"
         )
         for name, ok, measured, bound in rep.rows():
             stdout.write(
                 f"{'PASS' if ok else 'FAIL'} {name}: measured {measured!r} "
                 f"vs bound {bound!r}\n"
             )
+        payload["report"] = rep
     if args.out:
-        payload = {"schema": SCHEMA_VERSION, "command": "block-value",
-                   "breakdown": {
-                       "shape": breakdown.shape_name, "d": breakdown.d,
-                       "m": breakdown.m, "q": breakdown.q, "dv": breakdown.dv,
-                       "total": breakdown.total,
-                       "candidates": breakdown.candidates,
-                       "rows": breakdown.rows,
-                   }}
         _write_outputs(args.out, args.format, render_json(payload),
                        render_csv(breakdown.rows, BLOCK_FIELDS), stdout)
-    return 0
-
-
-def cmd_trace_mc(args, stdout) -> int:
-    shape = graphmat.get_shape(args.shape)
-    if shape.has_squares and args.m is None:
-        raise UsageError(f"shape {shape.name} requires --m")
-    m = args.m if args.m is not None else 1
-    rep = graphmat.verify_block_bound(
-        shape, args.d, m, args.q, args.trials, args.seed, args.dv
-    )
-    stdout.write(
-        f"shape={rep.shape_name} d={rep.d} m={rep.m} q={rep.q} "
-        f"trials={rep.trials} dimension={rep.dimension}\n"
-        f"trace mc mean {rep.mc_mean!r} stderr {rep.mc_stderr!r}\n"
-        f"block value B {rep.block_total!r} "
-        f"trace bound dim*B^2q {rep.trace_bound!r}\n"
-        f"{'PASS' if rep.trace_pass else 'FAIL'} trace: "
-        f"mean <= bound + 3 stderr\n"
-        f"{'PASS' if rep.norm_pass else 'FAIL'} norm: max realized "
-        f"{rep.max_norm!r} <= 1.2 B = {rep.norm_bound!r}\n"
-    )
-    if args.out:
-        payload = {"schema": SCHEMA_VERSION, "command": "trace-mc",
-                   "report": {f: getattr(rep, f)
-                              for f in rep.__dataclass_fields__}}
-        csv_rows = [{f: getattr(rep, f) for f in rep.__dataclass_fields__}]
-        _write_outputs(args.out, args.format, render_json(payload),
-                       render_csv(csv_rows, tuple(rep.__dataclass_fields__)),
-                       stdout)
     return 0
 
 
@@ -855,6 +841,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="path stem for report files")
     sub.add_argument("--format", choices=("csv", "json"), default=None,
                      help="restrict output to one format")
+
+
+def _add_threads(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, default=0,
                      help="worker threads; 0 = one per usable core "
                      "(results identical)")
@@ -876,6 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--ratios", type=_ratio_type, nargs="*", default=None)
     p_sweep.add_argument("--trials", type=int, default=50)
     _add_common(p_sweep)
+    _add_threads(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_lem = subs.add_parser("verify-lemmas", help="statistical lemma suite")
@@ -885,6 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lem.add_argument("--quick", action="store_true",
                        help="decomposition-level rows only")
     _add_common(p_lem)
+    _add_threads(p_lem)
     p_lem.set_defaults(func=cmd_verify_lemmas)
 
     p_blk = subs.add_parser("block-value", help="labeling table and total")
@@ -898,16 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_blk.add_argument("--trials", type=int, default=50)
     _add_common(p_blk)
     p_blk.set_defaults(func=cmd_block_value)
-
-    p_mc = subs.add_parser("trace-mc", help="trace-moment Monte Carlo")
-    p_mc.add_argument("--shape", type=str, required=True)
-    p_mc.add_argument("--d", type=int, required=True)
-    p_mc.add_argument("--m", type=int, default=None)
-    p_mc.add_argument("--q", type=int, required=True)
-    p_mc.add_argument("--trials", type=int, default=100)
-    p_mc.add_argument("--dv", type=int, default=None)
-    _add_common(p_mc)
-    p_mc.set_defaults(func=cmd_trace_mc)
 
     p_norms = subs.add_parser("norms", help="realized norms vs bounds")
     p_norms.add_argument("--shape", type=str, default=None,

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +104,7 @@ def test_fit_cli_json_deterministic():
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
-    assert payload["schema"] == "8"
+    assert payload["schema"] == "9"
     assert "wallMillis" not in out1
     assert set(payload["record"]) == set(harness.FIT_FIELDS)
 
@@ -123,7 +124,7 @@ def test_fit_cli_out_writes_both_formats(tmp_path):
     assert (tmp_path / "rep.json").exists()
     assert (tmp_path / "rep.csv").exists()
     on_disk = json.loads((tmp_path / "rep.json").read_text())
-    assert on_disk["schema"] == "8"
+    assert on_disk["schema"] == "9"
 
 
 def test_sweep_cli_out_single_format(tmp_path):
@@ -149,6 +150,10 @@ def test_sweep_cli_out_single_format(tmp_path):
     ["sweep", "--d-list", "10", "--ratios", "zz", "--trials", "2"],
     ["verify-lemmas", "--sizes", "500x2500", "--trials", "1", "--quick"],
     ["fit", "--d", "10", "--m", "20", "--tol", "1e-6"],
+    ["trace-mc", "--shape", "md3", "--d", "40", "--m", "80", "--q", "2"],
+    ["fit", "--d", "10", "--m", "20", "--threads", "2"],
+    ["block-value", "--shape", "goe", "--d", "10", "--q", "2", "--threads", "2"],
+    ["norms", "--shape", "goe", "--d", "10", "--threads", "2"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     code, _ = run_cli(argv)
@@ -221,7 +226,7 @@ def test_sweep_cli_interrupt_exit_code(monkeypatch):
 
 def test_sweep_rates_track_feasibility_transition():
     report = harness.run_sweep([60], [1 / 200, 0.6], trials=8, seed=0)
-    assert report.schema == "8"
+    assert report.schema == "9"
     easy, hard = report.cells
     assert easy.m == 18 and hard.m == 2160
     assert easy.feasibility_rate >= 0.9
@@ -372,6 +377,41 @@ def test_lemma_suite_full_row_set():
                for row in rows)
 
 
+def test_lemma_suite_offdiagonal_norms_memory_peak(monkeypatch):
+    # traced peak from the start of each realize until the next stage, in
+    # m x m float64 arrays: the realized part itself and no symmetry-check
+    # temporaries (with those it was 3.0)
+    d, m = 60, 1000
+    realize = graphmat.realize
+    names, peaks, opened = [], [], []
+
+    def mark(name):
+        now, peak = tracemalloc.get_traced_memory()
+        if opened:
+            peaks.append((peak - opened.pop()) / (m * m * 8))
+        names.append(name)
+        opened.append(now)
+        tracemalloc.reset_peak()
+
+    def marked_realize(name, sample):
+        mark(name)
+        return realize(name, sample)
+
+    def stop(dec, sample):
+        mark("solve")
+        raise construction.SingularMatrixError("stop after the norm rows")
+
+    monkeypatch.setattr(graphmat, "realize", marked_realize)
+    monkeypatch.setattr(harness.construction, "solve_weights", stop)
+    tracemalloc.start()
+    try:
+        harness.lemma_suite(seed=1, trials=1, sizes=[(d, m)], threads=1)
+    finally:
+        tracemalloc.stop()
+    assert names == ["mbeta", "malpha", "solve"]
+    assert max(peaks) <= 1.6, peaks
+
+
 def test_lemma_suite_size_validation():
     with pytest.raises(harness.UsageError):
         harness.lemma_suite(sizes=[(0, 5)], trials=1)
@@ -397,7 +437,7 @@ def test_verify_lemmas_cli_failures_still_exit_zero(capsys):
 
 
 # ---------------------------------------------------------------------------
-# block-value, trace-mc, norms CLIs
+# block-value, norms CLIs
 
 
 def test_block_value_cli_table():
@@ -425,12 +465,38 @@ def test_block_value_cli_verify_and_out(tmp_path):
     assert (tmp_path / "blk.json").exists()
 
 
-def test_trace_mc_cli():
-    code, out = run_cli(["trace-mc", "--shape", "md3", "--d", "40",
-                         "--m", "80", "--q", "2", "--trials", "5"])
+def test_block_value_cli_verify_prints_trace_mc_numbers():
+    code, out = run_cli(["block-value", "--shape", "md3", "--d", "40",
+                         "--m", "80", "--q", "2", "--verify", "--trials", "5"])
     assert code == 0
     assert "trace mc mean" in out
-    assert "block value B" in out
+    rep = graphmat.verify_block_bound("md3", 40, 80, 2, 5, 0)
+    assert f"shape=md3 d=40 m=80 q=2 dv={rep.dv} " in out
+    assert f"total {rep.block_total!r}\n" in out
+    assert (f"trials=5 dimension={rep.dimension} trace mc mean "
+            f"{rep.mc_mean!r} stderr {rep.mc_stderr!r}\n") in out
+    for name, ok, measured, bound in rep.rows():
+        assert (f"{'PASS' if ok else 'FAIL'} {name}: measured {measured!r} "
+                f"vs bound {bound!r}\n") in out
+
+
+def test_block_value_cli_verify_out_json_holds_report(tmp_path):
+    texts = []
+    for run in ("a", "b"):
+        base = str(tmp_path / run)
+        code, _ = run_cli(["block-value", "--shape", "md3", "--d", "40",
+                           "--m", "80", "--q", "2", "--verify", "--trials",
+                           "5", "--seed", "3", "--out", base])
+        assert code == 0
+        texts.append((tmp_path / f"{run}.json").read_text())
+        header = (tmp_path / f"{run}.csv").read_text().splitlines()[0]
+        assert header == ",".join(harness.BLOCK_FIELDS)
+    assert texts[0] == texts[1]
+    payload = json.loads(texts[0])
+    rep = graphmat.verify_block_bound("md3", 40, 80, 2, 5, 3)
+    assert payload["report"] == {f.name: getattr(rep, f.name)
+                                 for f in dataclasses.fields(rep)}
+    assert payload["breakdown"]["total"] == rep.block_total
 
 
 def test_norms_cli_all_shapes():
